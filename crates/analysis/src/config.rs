@@ -1,6 +1,5 @@
 //! Configuration of the schedulability analysis.
 
-use crate::fixed_point::FixedPointStrategy;
 use gmf_model::Time;
 use serde::{Deserialize, Serialize};
 
@@ -52,13 +51,6 @@ pub struct AnalysisConfig {
     /// inside the interference window and charge one `MFT` blocking per
     /// own Ethernet frame; the bound is strictly more conservative.
     pub refine_egress_own_frames: bool,
-    /// How the holistic engine advances the jitter iterate between outer
-    /// rounds: plain Picard (the paper's scheme, the default) or
-    /// safeguarded Anderson(1) acceleration.  Both land on the same fixed
-    /// point and produce identical flow reports at convergence (see
-    /// `fixed_point` module docs); Anderson can need fewer rounds on
-    /// workloads with long geometric tails.
-    pub strategy: FixedPointStrategy,
     /// Worker threads for the per-flow analyses within one holistic round
     /// (the flows of a round are independent).  `1` (the default) runs
     /// inline on the caller's thread; any value produces byte-identical
@@ -85,7 +77,6 @@ impl Default for AnalysisConfig {
             refine_ingress_own_frames: false,
             refine_first_hop_blocking: false,
             refine_egress_own_frames: false,
-            strategy: FixedPointStrategy::Picard,
             threads: 1,
             skip_unchanged_flows: true,
         }
@@ -113,12 +104,6 @@ impl AnalysisConfig {
     /// Override the divergence horizon.
     pub fn with_horizon(mut self, horizon: Time) -> Self {
         self.horizon = horizon;
-        self
-    }
-
-    /// Override the fixed-point strategy of the holistic engine.
-    pub fn with_strategy(mut self, strategy: FixedPointStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -180,7 +165,6 @@ mod tests {
     #[test]
     fn engine_defaults_preserve_the_paper_scheme() {
         let c = AnalysisConfig::default();
-        assert_eq!(c.strategy, FixedPointStrategy::Picard);
         assert_eq!(c.threads, 1);
         // Round skipping is on by default — it is invisible in the bounds.
         assert!(c.skip_unchanged_flows);
@@ -188,11 +172,8 @@ mod tests {
     }
 
     #[test]
-    fn with_strategy_and_threads_override() {
-        let c = AnalysisConfig::default()
-            .with_strategy(FixedPointStrategy::Anderson1)
-            .with_threads(4);
-        assert_eq!(c.strategy, FixedPointStrategy::Anderson1);
+    fn with_threads_overrides() {
+        let c = AnalysisConfig::default().with_threads(4);
         assert_eq!(c.threads, 4);
         assert_eq!(AnalysisConfig::default().with_threads(0).threads, 1);
     }
@@ -200,8 +181,8 @@ mod tests {
     #[test]
     fn config_serde_roundtrip_includes_engine_fields() {
         let c = AnalysisConfig::conservative()
-            .with_strategy(FixedPointStrategy::Anderson1)
-            .with_threads(8);
+            .with_threads(8)
+            .with_skip_unchanged_flows(false);
         let json = serde_json::to_string(&c).unwrap();
         let back: AnalysisConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(c, back);

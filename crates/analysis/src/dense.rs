@@ -600,20 +600,6 @@ impl DenseJitters {
             self.values[range.clone()] == other.values[range]
         })
     }
-
-    /// The raw arena (per-slot iteration for the Anderson extrapolation).
-    #[inline]
-    pub fn slots(&self) -> &[Time] {
-        &self.values
-    }
-
-    /// Set a raw slot without a pair id, maintaining the max cache of
-    /// `pair` (the Anderson candidate builder walks pairs slot by slot).
-    #[inline]
-    pub fn set_slot(&mut self, pair: u32, idx: usize, value: Time) {
-        self.values[idx] = value;
-        self.maxes[ux(pair)] = self.maxes[ux(pair)].max(value);
-    }
 }
 
 #[cfg(test)]

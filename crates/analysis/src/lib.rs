@@ -21,9 +21,13 @@
 //!   task and the link (eqs. 28–35);
 //! * [`pipeline::analyze_frame`] — the end-to-end composition of Figure 6;
 //! * [`holistic::analyze`] — the holistic jitter fixed-point over the whole
-//!   flow set, yielding an [`AnalysisReport`];
+//!   flow set, yielding an [`AnalysisReport`]; the iteration is the
+//!   paper's plain Picard scheme in parallel Jacobi rounds
+//!   ([`fixed_point`]);
 //! * [`admission::AdmissionController`] — the admission controller built on
-//!   top of it;
+//!   top of it, with one decision path: shard-scoped trials warm-started
+//!   from the last converged jitters, byte-identical to a cold analysis of
+//!   the trial set;
 //! * [`resilience::SurvivabilityAnalysis`] — the single-failure
 //!   survivability sweep built on the warm admission plane;
 //! * [`baseline`] — the sporadic-collapse and utilization-only baselines
@@ -75,8 +79,8 @@ pub mod resilience;
 pub mod stage;
 
 pub use admission::{
-    AdmissionController, AdmissionDecision, AdmissionMode, AdmissionRequest, AdmissionVictim,
-    DecisionCost, PreloadStats,
+    AdmissionController, AdmissionDecision, AdmissionRequest, AdmissionVictim, DecisionCost,
+    PreloadStats,
 };
 pub use baseline::{
     analyze_sporadic_baseline, sporadic_collapse, utilization_check, UtilizationCheck,
@@ -88,10 +92,7 @@ pub use deps::{DependencyGraph, ShardId};
 pub use egress::egress_response;
 pub use error::{AnalysisError, StageKind};
 pub use first_hop::first_hop_response;
-pub use fixed_point::{
-    iterate_from, ConvergenceTrace, FixedPointRun, FixedPointStrategy, RoundTrace,
-    StepKind as FixedPointStepKind,
-};
+pub use fixed_point::{iterate_from, ConvergenceTrace, FixedPointRun, RoundTrace};
 pub use holistic::analyze;
 pub use ingress::ingress_response;
 pub use pipeline::{analyze_flow, analyze_frame, hop_sum_matches, JitterAssignments};
@@ -106,14 +107,13 @@ pub use stage::StageResult;
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
     pub use crate::admission::{
-        AdmissionController, AdmissionDecision, AdmissionMode, AdmissionRequest, AdmissionVictim,
-        DecisionCost,
+        AdmissionController, AdmissionDecision, AdmissionRequest, AdmissionVictim, DecisionCost,
     };
     pub use crate::baseline::{analyze_sporadic_baseline, sporadic_collapse, utilization_check};
     pub use crate::config::AnalysisConfig;
     pub use crate::context::{AnalysisContext, JitterMap, ResourceId};
     pub use crate::deps::{DependencyGraph, ShardId};
-    pub use crate::fixed_point::{ConvergenceTrace, FixedPointStrategy};
+    pub use crate::fixed_point::ConvergenceTrace;
     pub use crate::holistic::analyze;
     pub use crate::pipeline::{analyze_flow, analyze_frame};
     pub use crate::report::{AnalysisReport, FlowReport, FrameBound, HopBound};

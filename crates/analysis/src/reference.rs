@@ -6,28 +6,28 @@
 //! built from the boundary-level pieces that never went dense: the keyed
 //! [`JitterMap`] (tree-map probes and all) and the per-frame keyed stage
 //! walk [`crate::pipeline::analyze_flow`].  It performs no parallelism, no
-//! Anderson acceleration, no warm starts and no round skipping — every
-//! flow is re-analysed from the keyed map every round.
+//! warm starts and no round skipping — every flow is re-analysed from the
+//! keyed map every round.
 //!
 //! Its value is being *obviously* faithful to the equations: the
 //! property tests in `tests/dense_engine_properties.rs` assert that the
 //! production engine — dense tables, arena iterates, Arc-shared reports,
-//! dirty-flow skipping, any thread count, either strategy — returns an
+//! dirty-flow skipping, any thread count — returns an
 //! [`AnalysisReport`] byte-identical to this one on random workloads.
 //! Keep it slow and transparent; do not optimise it.
 
 use crate::config::AnalysisConfig;
 use crate::context::{AnalysisContext, JitterMap};
 use crate::error::AnalysisError;
-use crate::fixed_point::{ConvergenceTrace, RoundTrace, StepKind};
+use crate::fixed_point::{ConvergenceTrace, RoundTrace};
 use crate::pipeline::analyze_flow;
 use crate::report::{AnalysisReport, FlowReport};
 use gmf_model::Time;
 use gmf_net::{FlowSet, Topology};
 
 /// Run the holistic analysis with the keyed reference engine (sequential
-/// Picard; `config.strategy`, `config.threads` and
-/// `config.skip_unchanged_flows` are deliberately ignored).
+/// Picard; `config.threads` and `config.skip_unchanged_flows` are
+/// deliberately ignored).
 ///
 /// Returns exactly what [`crate::holistic::analyze`] returns for a Picard
 /// run — including the iteration count, the per-round residual trace and
@@ -84,7 +84,6 @@ pub fn analyze_reference(
             trace.rounds.push(RoundTrace {
                 iteration,
                 residual: Time::ZERO,
-                step: StepKind::Picard,
             });
             return Ok(AnalysisReport {
                 flows: reports,
@@ -100,7 +99,6 @@ pub fn analyze_reference(
         trace.rounds.push(RoundTrace {
             iteration,
             residual,
-            step: StepKind::Picard,
         });
         if next.approx_eq(&x) {
             let schedulable = reports.iter().all(|r| r.meets_all_deadlines());

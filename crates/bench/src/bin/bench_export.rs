@@ -32,8 +32,7 @@
 //! `BENCH.json`).  Sample count: `GMF_BENCH_EXPORT_SAMPLES` (default 7).
 
 use gmf_analysis::{
-    analyze, first_hop_response, iterate_from, AdmissionMode, AnalysisConfig, AnalysisContext,
-    FixedPointStrategy, JitterMap,
+    analyze, first_hop_response, iterate_from, AnalysisConfig, AnalysisContext, JitterMap,
 };
 use gmf_bench::atlas::{tightness_atlas, AtlasConfig};
 use gmf_bench::{
@@ -128,7 +127,7 @@ fn main() {
     );
 
     // B3 — full holistic analysis: paper scenario, synthetic size axis,
-    // worker-thread axis, and the strategy axis on the long-tail workload.
+    // worker-thread axis, and the long-tail workload.
     record(
         "holistic_paper_scenario",
         median_ns(samples, || {
@@ -165,18 +164,12 @@ fn main() {
     }
 
     let (topology, flows) = long_tail_bench_scenario();
-    for (name, strategy) in [
-        ("picard", FixedPointStrategy::Picard),
-        ("anderson1", FixedPointStrategy::Anderson1),
-    ] {
-        let config = AnalysisConfig::paper().with_strategy(strategy);
-        record(
-            &format!("holistic_longtail/{name}"),
-            median_ns(samples, || {
-                black_box(analyze(black_box(&topology), &flows, &config).unwrap());
-            }),
-        );
-    }
+    record(
+        "holistic_longtail/picard",
+        median_ns(samples, || {
+            black_box(analyze(black_box(&topology), &flows, &paper_config).unwrap());
+        }),
+    );
 
     // B3b — the dense core's cost counters: holistic rounds and per-flow
     // analyses per cold analyze, with dirty-flow skipping off and on.
@@ -227,23 +220,20 @@ fn main() {
         }
     }
 
-    // B5 — admission churn: cold restarts vs the incremental warm engine
+    // B5 — admission churn through the incremental admission controller
     // on the shared churn script (same workload as the Criterion
-    // `churn_admission` axis and E11).
+    // `churn_admission` bench and E11).
     let churn = churn_bench_config();
-    for (name, mode) in [("cold", AdmissionMode::Cold), ("warm", AdmissionMode::Warm)] {
-        record(
-            &format!("churn_admission/{name}"),
-            median_ns(samples, || {
-                black_box(run_churn(
-                    black_box(CHURN_BENCH_SEED),
-                    &churn,
-                    &paper_config,
-                    mode,
-                ));
-            }),
-        );
-    }
+    record(
+        "churn_admission/warm",
+        median_ns(samples, || {
+            black_box(run_churn(
+                black_box(CHURN_BENCH_SEED),
+                &churn,
+                &paper_config,
+            ));
+        }),
+    );
 
     // B6 — metro-scale sharded admission on the small instance (same
     // definition as E14's full-scale run): one timing for the whole

@@ -1,22 +1,23 @@
-//! E11 — admission control under churn: cold restarts vs the incremental
+//! E11 — admission control under churn: cold reference vs the incremental
 //! warm-started engine.
 //!
 //! Replays the shared churn script (arrivals and departures on the
-//! sweep's converging star) through two admission controllers that differ
-//! only in [`AdmissionMode`], and reports what every decision cost.  The
-//! two engines take byte-identical decisions and produce byte-identical
-//! bounds — the table asserts it — but the warm engine re-verifies only
-//! the flows a candidate can influence, seeded from the cached converged
-//! jitter map, so its rounds-per-decision and per-flow-analyses-per-
-//! decision are a fraction of the cold engine's.
+//! sweep's converging star) twice: through the admission controller, and
+//! through a cold reference that decides every arrival with a fixed point
+//! over the live flows plus the candidate, started from the paper's
+//! initial map.  The two take byte-identical decisions and produce
+//! byte-identical bounds — the table asserts it — but the controller
+//! re-verifies only the flows a candidate can influence, seeded from the
+//! cached converged jitter map, so its rounds-per-decision and per-flow-
+//! analyses-per-decision are a fraction of the reference's.
 //!
 //! Everything on stdout is deterministic (CI diffs repeated runs and
 //! `--threads 1` vs `4`); the wall-clock admissions/sec measurement goes
 //! to stderr.
 
-use gmf_analysis::{AdmissionMode, AnalysisConfig};
+use gmf_analysis::AnalysisConfig;
 use gmf_bench::{churn_bench_config, print_header, print_table, threads_flag, CHURN_BENCH_SEED};
-use gmf_workloads::{run_churn, ChurnOutcome};
+use gmf_workloads::{run_churn, run_churn_cold_reference, ChurnConfig, ChurnOutcome};
 use std::time::Instant;
 
 fn main() {
@@ -28,12 +29,14 @@ fn main() {
     let analysis = AnalysisConfig::paper().with_threads(threads);
     let config = churn_bench_config();
 
-    let mut outcomes: Vec<(ChurnOutcome, f64)> = Vec::new();
-    for mode in [AdmissionMode::Cold, AdmissionMode::Warm] {
+    type Replay = fn(u64, &ChurnConfig, &AnalysisConfig) -> ChurnOutcome;
+    let replays: [(&str, Replay); 2] = [("cold", run_churn_cold_reference), ("warm", run_churn)];
+    let mut outcomes: Vec<(&str, ChurnOutcome, f64)> = Vec::new();
+    for (engine, replay) in replays {
         let start = Instant::now();
-        let outcome = run_churn(CHURN_BENCH_SEED, &config, &analysis, mode);
+        let outcome = replay(CHURN_BENCH_SEED, &config, &analysis);
         let elapsed = start.elapsed().as_secs_f64();
-        outcomes.push((outcome, elapsed));
+        outcomes.push((engine, outcome, elapsed));
     }
 
     println!();
@@ -47,9 +50,9 @@ fn main() {
     println!();
     let rows: Vec<Vec<String>> = outcomes
         .iter()
-        .map(|(o, _)| {
+        .map(|(engine, o, _)| {
             vec![
-                o.mode.to_string(),
+                engine.to_string(),
                 o.arrivals.to_string(),
                 o.accepted.to_string(),
                 o.rejected.to_string(),
@@ -80,7 +83,7 @@ fn main() {
         &rows,
     );
 
-    let (cold, warm) = (&outcomes[0].0, &outcomes[1].0);
+    let (cold, warm) = (&outcomes[0].1, &outcomes[1].1);
     println!();
     println!(
         "decisions identical (accept/reject, live set, final bounds): {}",
@@ -108,10 +111,10 @@ fn main() {
     );
 
     // Wall clock is nondeterministic, so it stays off stdout.
-    for (outcome, elapsed) in &outcomes {
+    for (engine, outcome, elapsed) in &outcomes {
         eprintln!(
             "{}: {} admission requests in {:.3} s = {:.1} admissions/sec",
-            outcome.mode,
+            engine,
             outcome.arrivals,
             elapsed,
             outcome.arrivals as f64 / elapsed.max(1e-9)

@@ -5,8 +5,8 @@
 //! a cable, whose analysis is exact and must be reached by the
 //! critical-instant policy, and a two-flow contention star) plus a seeded
 //! campaign of random valid scenarios from `gmf_workloads::fuzz`.  Every
-//! scenario runs the analysis across its engine axes (Picard/Anderson ×
-//! threads 1/4 × round skipping) and the simulator under the dense control
+//! scenario runs the analysis across its engine axes (threads 1/4 × round
+//! skipping) and the simulator under the dense control
 //! and the three adversarial policies; every completed (policy, flow,
 //! frame) must observe `response ≤ bound`, and flows that complete *zero*
 //! packets under a policy are failures too (vacuous coverage).

@@ -1,11 +1,10 @@
 //! E12 — cost per round of the dense-index analysis core.
 //!
-//! The PR 2 engine cut *round counts* (Anderson acceleration); the dense
-//! core cuts the *cost per round* (interned interference tables, arena
-//! jitter reads, per-stage fixed-point reuse) and, on top, the number of
-//! per-flow analyses per round (dirty-flow skipping: a flow whose input
-//! jitter slots are unchanged from the round that produced its cached
-//! report is not re-analysed).  This experiment pins both effects on the
+//! The dense core cuts the *cost per round* (interned interference
+//! tables, arena jitter reads, per-stage fixed-point reuse) and, on top,
+//! the number of per-flow analyses per round (dirty-flow skipping: a flow
+//! whose input jitter slots are unchanged from the round that produced its
+//! cached report is not re-analysed).  This experiment pins both effects on the
 //! three canonical workloads:
 //!
 //! * per-workload rounds and per-flow analyses with skipping off (every

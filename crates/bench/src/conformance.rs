@@ -3,10 +3,8 @@
 //!
 //! For one scenario the harness
 //!
-//! 1. runs the analysis across its engine axes — Picard × worker threads
-//!    1/4 × round-skipping on/off must be `assert_eq!`-identical, and
-//!    Anderson(1) must agree on the verdict and (at convergence) on every
-//!    bound;
+//! 1. runs the analysis across its engine axes — worker threads 1/4 ×
+//!    round-skipping on/off must be `assert_eq!`-identical;
 //! 2. simulates the scenario under every configured [`AdversarialPolicy`]
 //!    — legal arrival patterns engineered to push observed response times
 //!    toward the analytical bound (critical-instant phasing, maximal
@@ -22,7 +20,7 @@
 //! machine-readable artifact (`CONFORMANCE.json`) CI uploads next to
 //! `BENCH.json` so bound slack can be watched over time.
 
-use gmf_analysis::{analyze, AnalysisConfig, AnalysisReport, FixedPointStrategy};
+use gmf_analysis::{analyze, AnalysisConfig, AnalysisReport};
 use gmf_model::{FlowId, Time};
 use gmf_net::{FlowSet, Topology};
 use gmf_par::derive_seed;
@@ -112,7 +110,7 @@ pub struct ConformanceConfig {
     /// ([`horizon_for`]).
     pub horizon: Option<Time>,
     /// Cross-check the analysis engine axes (threads 1/4 × skipping
-    /// on/off × Picard/Anderson) before using the bounds.  Costs a few
+    /// on/off) before using the bounds.  Costs a few
     /// extra analyses per scenario; the fuzz test disables it on a
     /// fraction of cases to stay inside the CI budget.
     pub engine_axes: bool,
@@ -211,18 +209,14 @@ impl ScenarioConformance {
 
 /// Run the analysis across its engine axes and return the base report.
 ///
-/// Picard × threads {1, 4} × skipping {on, off} must be byte-identical;
-/// Anderson(1) × threads {1, 4} must agree on the verdict and, at
-/// convergence, on every flow report.
+/// Threads {1, 4} × skipping {on, off} must be byte-identical to the
+/// caller's configuration.
 fn analyze_across_axes(
     topology: &Topology,
     flows: &FlowSet,
     config: &ConformanceConfig,
 ) -> Result<AnalysisReport, String> {
-    // The base report is always Picard: the byte-identity axes below pin
-    // against it (an Anderson base would spuriously differ in `iterations`
-    // and `trace` even when every bound agrees).
-    let base_config = config.analysis.with_strategy(FixedPointStrategy::Picard);
+    let base_config = config.analysis;
     let base = analyze(topology, flows, &base_config).map_err(|e| e.to_string())?;
     if !config.engine_axes {
         return Ok(base);
@@ -230,7 +224,6 @@ fn analyze_across_axes(
     for threads in [1usize, 4] {
         for skip in [false, true] {
             let axis = base_config
-                .with_strategy(FixedPointStrategy::Picard)
                 .with_threads(threads)
                 .with_skip_unchanged_flows(skip);
             if axis == base_config {
@@ -239,23 +232,10 @@ fn analyze_across_axes(
             let report = analyze(topology, flows, &axis).map_err(|e| e.to_string())?;
             if report != base {
                 return Err(format!(
-                    "engine-axes mismatch: Picard threads={threads} skip={skip} \
+                    "engine-axes mismatch: threads={threads} skip={skip} \
                      differs from the base report"
                 ));
             }
-        }
-        let anderson_config = base_config
-            .with_strategy(FixedPointStrategy::Anderson1)
-            .with_threads(threads);
-        let anderson = analyze(topology, flows, &anderson_config).map_err(|e| e.to_string())?;
-        if anderson.converged != base.converged
-            || anderson.schedulable != base.schedulable
-            || (base.converged
-                && (anderson.flows != base.flows || anderson.failure != base.failure))
-        {
-            return Err(format!(
-                "engine-axes mismatch: Anderson1 threads={threads} disagrees with Picard"
-            ));
         }
     }
     Ok(base)
@@ -677,13 +657,14 @@ mod tests {
     }
 
     #[test]
-    fn anderson_strategy_config_passes_the_axes_check() {
-        // The byte-identity axes pin against a Picard base even when the
-        // caller's config selects Anderson (whose iteration counts and
-        // traces legitimately differ).
+    fn threaded_config_passes_the_axes_check() {
+        // The byte-identity axes pin against the caller's configuration,
+        // whatever engine knobs it already sets.
         let (t, fs) = direct_link_probe();
         let config = ConformanceConfig {
-            analysis: AnalysisConfig::conservative().with_strategy(FixedPointStrategy::Anderson1),
+            analysis: AnalysisConfig::conservative()
+                .with_threads(4)
+                .with_skip_unchanged_flows(false),
             ..ConformanceConfig::default()
         };
         let conformance = check_scenario("probe", &t, &fs, &config).unwrap();

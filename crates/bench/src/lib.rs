@@ -74,11 +74,9 @@ pub fn threads_flag() -> usize {
 /// routing CPUs — the canonical *long-tail* holistic workload.
 ///
 /// Interference chains run the whole line in each direction, so the jitter
-/// fixed point needs on the order of `2·n_switches` Picard rounds; this is
-/// the workload on which `Anderson1` demonstrably reduces the iteration
-/// count (see the `holistic_longtail` bench axis and E10).  The dependency
-/// graph is acyclic (the two directions never couple), so accelerated and
-/// plain runs converge to byte-identical reports.
+/// fixed point needs on the order of `2·n_switches` Picard rounds (see the
+/// `holistic_longtail` bench and E10b).  The dependency graph is acyclic
+/// (the two directions never couple), so the fixed point is unique.
 pub fn long_tail_line_scenario(
     n_switches: usize,
     pairs: usize,
@@ -283,12 +281,12 @@ pub fn multi_sink_star_set(
 
 /// The long-tail instance the `holistic_longtail` bench and E10b use:
 /// [`long_tail_line_scenario`] with 6 switches and 6 flow pairs (Picard
-/// needs 10 rounds, Anderson(1) 8).
+/// needs 10 rounds).
 pub fn long_tail_bench_scenario() -> (gmf_net::Topology, gmf_net::FlowSet) {
     long_tail_line_scenario(6, 6)
 }
 
-/// The churn workload the `churn_admission` bench axis, `bench_export`
+/// The churn workload the `churn_admission` bench, `bench_export`
 /// and E11 (`exp_admission_churn`) all replay: arrivals and departures on
 /// the sweep's converging star, sized so the live set stays around a
 /// dozen flows.

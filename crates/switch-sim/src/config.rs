@@ -112,9 +112,7 @@ pub struct SimConfig {
     /// `SimStats` (capped at `MAX_KEPT_SAMPLES`, truncation counted and
     /// warned about).  Percentiles come from the streaming histograms and
     /// never need retention — this exists to reconstruct the critical
-    /// window of a conformance violation.  The `GMF_SIM_KEEP_SAMPLES`
-    /// environment variable (any value other than empty or `0`) turns it
-    /// on without touching code.
+    /// window of a conformance violation.
     ///
     /// [`PacketSample`]: crate::PacketSample
     #[serde(default)]

@@ -20,10 +20,10 @@
 //! and reused, so a steady-state simulation performs no allocator calls
 //! in the scheduler at all.
 //!
-//! [`ReferenceEventQueue`] keeps the original `BinaryHeap` implementation
-//! as an executable specification; a property test drives both in lockstep
-//! over random schedules (including ties and interleaved pops) and demands
-//! byte-identical pop sequences.
+//! The test build keeps the original `BinaryHeap` implementation as
+//! `ReferenceEventQueue`, an executable specification; a property test
+//! drives both in lockstep over random schedules (including ties and
+//! interleaved pops) and demands byte-identical pop sequences.
 
 use crate::faults::FaultKind;
 use crate::packet::EthFrame;
@@ -433,13 +433,16 @@ impl EventQueue {
 /// The original `BinaryHeap` event queue, kept as the executable
 /// specification of the (time, insertion-sequence) pop order.  The
 /// lockstep property test drives it against [`EventQueue`] on random
-/// schedules; production code uses the calendar queue.
+/// schedules; production code uses the calendar queue, so the reference
+/// is compiled for tests only.
+#[cfg(test)]
 #[derive(Debug, Default)]
 pub struct ReferenceEventQueue {
     heap: BinaryHeap<Event>,
     next_sequence: u64,
 }
 
+#[cfg(test)]
 impl ReferenceEventQueue {
     /// Create an empty queue.
     pub fn new() -> Self {

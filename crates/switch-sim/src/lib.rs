@@ -49,7 +49,7 @@ pub mod stats;
 pub mod stride;
 
 pub use config::{ArrivalPolicy, JitterSpread, SimConfig};
-pub use event::{Event, EventInPast, EventKind, EventQueue, QueueShape, ReferenceEventQueue};
+pub use event::{Event, EventInPast, EventKind, EventQueue, QueueShape};
 pub use faults::{FaultKind, FaultScript, TransientEvent};
 pub use nodes::{EndpointState, PriorityQueue, SwitchState, SwitchTask};
 pub use packet::{EthFrame, PacketId};

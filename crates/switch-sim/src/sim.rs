@@ -454,15 +454,7 @@ impl Engine {
             arrivals,
             reassembly: BTreeMap::new(),
             downed: BTreeSet::new(),
-            // Sample retention is a debug knob (see
-            // `SimConfig::keep_samples`): on via the config field or the
-            // `GMF_SIM_KEEP_SAMPLES` env var (unset, empty or `0` = off).
-            stats: SimStats::new(
-                config.keep_samples
-                    || std::env::var("GMF_SIM_KEEP_SAMPLES")
-                        .map(|v| !v.is_empty() && v != "0")
-                        .unwrap_or(false),
-            ),
+            stats: SimStats::new(config.keep_samples),
         })
     }
 

@@ -149,8 +149,8 @@ impl ResponseHistogram {
     }
 }
 
-/// Maximum number of raw samples retained when `GMF_SIM_KEEP_SAMPLES` is
-/// set.  Percentiles come from the streaming histogram, so retention is a
+/// Maximum number of raw samples retained when `SimConfig::keep_samples`
+/// is on.  Percentiles come from the streaming histogram, so retention is a
 /// debug aid only; the cap bounds its memory on long-horizon runs.
 pub const MAX_KEPT_SAMPLES: usize = 1_000_000;
 
@@ -280,7 +280,7 @@ impl SimStats {
             } else {
                 if self.samples_truncated == 0 {
                     eprintln!(
-                        "warning: GMF_SIM_KEEP_SAMPLES hit the {MAX_KEPT_SAMPLES}-sample \
+                        "warning: keep_samples hit the {MAX_KEPT_SAMPLES}-sample \
                          retention cap; further samples are dropped (percentiles still \
                          come from the streaming histogram)"
                     );

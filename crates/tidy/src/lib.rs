@@ -310,8 +310,8 @@ fn bare_numeric_cast(code: &str) -> Option<&'static str> {
     None
 }
 
-/// Run one rule's matcher over a stripped code line.
-fn rule_check(rule: &str, code: &str) -> Option<String> {
+/// Run one rule's matcher over a stripped code line of a `kind` file.
+fn rule_check(rule: &str, code: &str, kind: FileKind) -> Option<String> {
     match rule {
         "hash" => ["HashMap", "HashSet"]
             .iter()
@@ -331,6 +331,15 @@ fn rule_check(rule: &str, code: &str) -> Option<String> {
                 format!(
                     "{t} makes a deterministic path run-dependent; inject times/seeds via config"
                 )
+            })
+            .or_else(|| {
+                // Binaries may read their environment; library code takes
+                // every setting through its configuration types.
+                (kind == FileKind::Lib && code.contains("env::var(")).then(|| {
+                    "env::var( makes library behaviour depend on the process environment; \
+                     take the setting through configuration"
+                        .to_string()
+                })
             }),
         "cast" => bare_numeric_cast(code)
             .map(|t| format!("bare `as {t}` cast; use the index helpers or a checked conversion")),
@@ -587,7 +596,7 @@ pub fn check_source(rel: &str, content: &str) -> Vec<Violation> {
             {
                 continue;
             }
-            if let Some(message) = rule_check(rule.name, code) {
+            if let Some(message) = rule_check(rule.name, code, kind) {
                 violations.push(Violation {
                     file: rel.to_string(),
                     line: idx + 1,
@@ -722,6 +731,33 @@ mod tests {
             rules_fired(&check("crates/workloads/src/fuzz.rs", rng)),
             ["clock"]
         );
+    }
+
+    #[test]
+    fn clock_rule_flags_env_reads_in_engine_libraries_only() {
+        // The retired simulator pattern: a library consulting the process
+        // environment behind its configuration's back.
+        let bad = "let keep = config.keep_samples\n    || std::env::var(\"GMF_SIM_KEEP_SAMPLES\")\n        .map(|v| !v.is_empty() && v != \"0\")\n        .unwrap_or(false);\n";
+        let found = check("crates/switch-sim/src/sim.rs", bad);
+        assert_eq!(rules_fired(&found), ["clock"]);
+        assert_eq!(found[0].line, 2);
+        assert_eq!(rules_fired(&check(LIB, bad)), ["clock"]);
+        // An allow with a reason accepts the line.
+        let allowed =
+            format!("let v = std::env::var(\"X\"); // {ALLOW} clock documented override\n");
+        assert!(check("crates/switch-sim/src/sim.rs", &allowed).is_empty());
+        // Binaries, benches, tests and non-engine crates may read the
+        // environment.
+        let read = "let v = std::env::var(\"X\");\n";
+        for path in [
+            "crates/bench/src/bin/bench_export.rs",
+            "crates/switch-sim/benches/sim.rs",
+            "crates/switch-sim/tests/props.rs",
+            "tests/admission_properties.rs",
+            "crates/bench/src/lib.rs",
+        ] {
+            assert!(check(path, read).is_empty(), "{path}");
+        }
     }
 
     #[test]

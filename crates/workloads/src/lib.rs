@@ -12,7 +12,8 @@
 //!   the sporadic-collapse baseline and the utilization-only necessary
 //!   test;
 //! * [`churn`] — deterministic arrival/departure scripts replayed through
-//!   the admission controller (the incremental-engine experiment);
+//!   the admission controller and through a cold reference (the
+//!   incremental-engine experiment);
 //! * [`metro`] — metro-scale admission workloads: thousands of independent
 //!   access cells, a 100k+-flow pre-admitted set and a deterministic
 //!   candidate stream for the sharded admission plane (E14 / `exp_metro`);
@@ -38,7 +39,7 @@ pub mod scenario;
 pub mod sweep;
 pub mod synthetic;
 
-pub use churn::{run_churn, ChurnConfig, ChurnOutcome};
+pub use churn::{run_churn, run_churn_cold_reference, ChurnConfig, ChurnOutcome};
 pub use fuzz::{
     draw_scenario, valid_scenario, FuzzConfig, FuzzScenario, ScenarioRejection, TopologyShape,
 };

@@ -2,13 +2,13 @@
 //! dependency-scoped re-verification and departures must all be invisible
 //! in the decisions and bounds.
 //!
-//! (a) Driving random sweep-style flow sets through a warm controller one
-//!     flow at a time takes exactly the decisions a cold controller takes,
-//!     and every decision's report is byte-identical (frame bounds,
-//!     verdicts, failure attribution) to a cold `analyze` of the same
-//!     trial set — iteration traces aside.  Warm reports cover the
-//!     candidate's *shard*, so the comparison projects the global
-//!     reference onto the flows the shard report carries.
+//! (a) Driving random sweep-style flow sets through the controller one
+//!     flow at a time takes exactly the decisions a cold fixed point of
+//!     each trial set implies, and every decision's report is
+//!     byte-identical (frame bounds, verdicts, failure string, victim) to
+//!     that cold analysis — iteration traces aside.  Decision reports
+//!     cover the candidate's *shard*, so the comparison projects the
+//!     global reference onto the flows the shard report carries.
 //! (b) Releasing a random accepted flow and re-admitting the same binding
 //!     restores identical reports for every flow.  "Identical" here is up
 //!     to the analysis tolerance: the re-admitted flow's fresh id moves it
@@ -17,16 +17,16 @@
 //!     analysis of the same (reordered) trial set either way, which is
 //!     what (a) pins down exactly.
 
-use gmfnet::analysis::{
-    analyze, AdmissionController, AdmissionDecision, AdmissionMode, AdmissionRequest,
-    AnalysisConfig,
-};
+mod support;
+
+use gmfnet::analysis::{AdmissionController, AdmissionDecision, AdmissionRequest, AnalysisConfig};
 use gmfnet::model::GmfFlow;
-use gmfnet::net::{shortest_path, star, FlowSet, Priority, Route, Topology};
+use gmfnet::net::{shortest_path, star, Priority, Route, Topology};
 use gmfnet::workloads::{random_flow_collection, SweepConfig};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use support::{assert_matches_cold, ColdReference};
 
 /// Submit one candidate through the batched admission API.
 fn submit(
@@ -82,51 +82,25 @@ proptest! {
         let analysis = AnalysisConfig::paper();
         let (topology, requests) = random_requests(seed, n_flows, utilization);
         let mut warm = AdmissionController::new(topology.clone(), analysis);
-        let mut cold =
-            AdmissionController::new(topology.clone(), analysis).with_mode(AdmissionMode::Cold);
-        prop_assert_eq!(warm.mode(), AdmissionMode::Warm);
 
         for (flow, route, priority) in requests {
             // The reference: a cold holistic analysis of the very trial
             // set the warm controller is about to decide on.
-            let mut trial: FlowSet = warm.accepted().clone();
-            trial.add(flow.clone(), route.clone(), priority);
-            let reference = analyze(&topology, &trial, &analysis).unwrap();
-
-            let w = submit(&mut warm, flow.clone(), route.clone(), priority);
-            let c = submit(&mut cold, flow, route, priority);
-
-            // Decisions agree with each other and with the reference.
-            prop_assert_eq!(w.is_accepted(), c.is_accepted());
-            prop_assert_eq!(w.is_accepted(), reference.schedulable);
-            prop_assert_eq!(w.id(), c.id());
+            let mut cold = ColdReference {
+                topology: topology.clone(),
+                config: analysis,
+                live: warm.accepted().clone(),
+            };
+            let request = AdmissionRequest::new(flow.clone(), route.clone(), priority);
+            let (id, reference) = cold.decide(&request);
+            let w = submit(&mut warm, flow, route, priority);
 
             // Bounds, verdicts and failure attribution are byte-identical
             // (iteration traces aside).  For non-converged trials the warm
             // engine restarts cold, so even the partial reports match.
-            // The warm report covers the candidate's shard; every entry it
-            // carries must equal the global reference's entry bytewise.
-            for flow_report in &w.report().flows {
-                prop_assert_eq!(Some(flow_report), reference.flow(flow_report.flow));
-            }
-            prop_assert_eq!(w.report().schedulable, reference.schedulable);
-            prop_assert_eq!(&w.report().failure, &reference.failure);
-            prop_assert_eq!(w.report().converged, reference.converged);
-            prop_assert_eq!(&c.report().flows, &reference.flows);
-
-            // The structured rejection metadata agrees too.
-            match (&w, &c) {
-                (
-                    gmfnet::analysis::AdmissionDecision::Rejected { victim: vw, reason: rw, .. },
-                    gmfnet::analysis::AdmissionDecision::Rejected { victim: vc, reason: rc, .. },
-                ) => {
-                    prop_assert_eq!(vw, vc);
-                    prop_assert_eq!(rw, rc);
-                }
-                (a, b) => prop_assert_eq!(a.is_accepted(), b.is_accepted()),
-            }
+            assert_matches_cold(&w, id, &reference.report, &format!("seed {seed}"));
+            prop_assert_eq!(warm.accepted(), &cold.live);
         }
-        prop_assert_eq!(warm.accepted(), cold.accepted());
     }
 
     /// (b) Release followed by re-admission restores identical reports.
@@ -218,14 +192,14 @@ fn warm_trials_after_departures_match_cold_analysis() {
         ctl.release(*id).unwrap();
     }
     for (flow, route, priority) in leftover {
-        let mut trial = ctl.accepted().clone();
-        trial.add(flow.clone(), route.clone(), priority);
-        let reference = analyze(&topology, &trial, &analysis).unwrap();
+        let mut cold = ColdReference {
+            topology: topology.clone(),
+            config: analysis,
+            live: ctl.accepted().clone(),
+        };
+        let request = AdmissionRequest::new(flow.clone(), route.clone(), priority);
+        let (id, reference) = cold.decide(&request);
         let d = submit(&mut ctl, flow, route, priority);
-        assert_eq!(d.is_accepted(), reference.schedulable);
-        for flow_report in &d.report().flows {
-            assert_eq!(Some(flow_report), reference.flow(flow_report.flow));
-        }
-        assert_eq!(d.report().failure, reference.failure);
+        assert_matches_cold(&d, id, &reference.report, "after departures");
     }
 }

@@ -11,12 +11,12 @@
 //!     to the reference — bounds, hop breakdowns, verdicts, failure
 //!     strings, iteration counts and residual traces — across worker
 //!     threads 1/4 and round skipping on/off;
-//! (b) with the `Anderson1` strategy the verdicts always match and the
-//!     converged bounds are byte-identical (iteration traces aside);
-//! (c) on churn-style suffixes (a departure-reshaped set), the dense
+//! (b) on churn-style suffixes (a departure-reshaped set), the dense
 //!     engine still matches the reference, pinning the id-sparse case.
 
-use gmfnet::analysis::{analyze, analyze_reference, AnalysisConfig, FixedPointStrategy};
+mod support;
+
+use gmfnet::analysis::{analyze, analyze_reference, AnalysisConfig};
 use gmfnet::net::{FlowSet, Topology};
 use gmfnet::workloads::{random_sweep_set, SweepConfig};
 use proptest::prelude::*;
@@ -63,31 +63,7 @@ proptest! {
         }
     }
 
-    /// (b) Anderson on the dense engine still lands on the reference
-    /// bounds at convergence.
-    #[test]
-    fn anderson_dense_bounds_equal_keyed_reference(
-        seed in 0u64..1_000_000,
-        n_flows in 2usize..10,
-        utilization in 0.1f64..0.9,
-    ) {
-        let (topology, set) = sweep_set(seed, n_flows, utilization);
-        let reference = analyze_reference(&topology, &set, &AnalysisConfig::paper()).unwrap();
-        for threads in [1usize, 4] {
-            let config = AnalysisConfig::paper()
-                .with_strategy(FixedPointStrategy::Anderson1)
-                .with_threads(threads);
-            let anderson = analyze(&topology, &set, &config).unwrap();
-            prop_assert_eq!(reference.converged, anderson.converged);
-            prop_assert_eq!(reference.schedulable, anderson.schedulable);
-            if reference.converged {
-                prop_assert_eq!(&reference.flows, &anderson.flows);
-                prop_assert_eq!(&reference.failure, &anderson.failure);
-            }
-        }
-    }
-
-    /// (c) Churn-style sets (departures leave the id space sparse) still
+    /// (b) Churn-style sets (departures leave the id space sparse) still
     /// analyse byte-identically.
     #[test]
     fn dense_engine_matches_reference_after_departures(
@@ -119,40 +95,30 @@ proptest! {
 
 /// Round skipping must also be invisible through the warm-started,
 /// dependency-scoped admission path (it composes with `Scope`): a warm
-/// controller with skipping takes byte-identical decisions to a cold
-/// controller without it.
+/// controller with skipping takes byte-identical decisions to a cold fixed
+/// point of each trial set without it.
 #[test]
 fn skipping_is_invisible_through_warm_admission() {
-    use gmfnet::analysis::{AdmissionController, AdmissionMode, AdmissionRequest};
+    use gmfnet::analysis::{AdmissionController, AdmissionRequest};
+    use support::{assert_matches_cold, ColdReference};
     let (topology, set) = sweep_set(20_080_511, 8, 0.5);
-    let mut warm = AdmissionController::new(topology.clone(), AnalysisConfig::paper())
-        .with_mode(AdmissionMode::Warm);
-    let mut cold = AdmissionController::new(
+    let mut warm = AdmissionController::new(topology.clone(), AnalysisConfig::paper());
+    let mut cold = ColdReference {
         topology,
-        AnalysisConfig::paper().with_skip_unchanged_flows(false),
-    )
-    .with_mode(AdmissionMode::Cold);
+        config: AnalysisConfig::paper().with_skip_unchanged_flows(false),
+        live: FlowSet::new(),
+    };
     for binding in set.bindings() {
         let request = AdmissionRequest::new(
             binding.flow.clone(),
             binding.route.clone(),
             binding.priority,
         );
-        let w = warm
-            .request_batch([request.clone()])
-            .unwrap()
-            .pop()
-            .unwrap();
-        let c = cold.request_batch([request]).unwrap().pop().unwrap();
-        assert_eq!(w.is_accepted(), c.is_accepted());
-        // Warm reports are shard-scoped; each entry matches the cold
-        // (global) report's entry for the same flow bytewise.
-        for flow_report in &w.report().flows {
-            assert_eq!(Some(flow_report), c.report().flow(flow_report.flow));
-        }
-        assert_eq!(w.report().failure, c.report().failure);
+        let (id, reference) = cold.decide(&request);
+        let w = warm.request_batch([request]).unwrap().pop().unwrap();
+        assert_matches_cold(&w, id, &reference.report, binding.flow.name());
         // Skipping + scoping can only reduce the per-decision work.
-        assert!(w.cost().flow_analyses <= c.cost().flow_analyses);
+        assert!(w.cost().flow_analyses <= reference.flow_analyses);
     }
-    assert_eq!(warm.accepted(), cold.accepted());
+    assert_eq!(warm.accepted(), &cold.live);
 }

@@ -1,15 +1,15 @@
-//! Property-based tests of the holistic fixed-point engine: the Anderson
-//! acceleration and the parallel Jacobi rounds must both be invisible in
-//! the results.
+//! Property-based tests of the holistic fixed-point engine: the parallel
+//! Jacobi rounds and the dirty-flow round skipping must both be invisible
+//! in the results.
 //!
-//! (a) On random converging flow sets (the acceptance-sweep generator),
-//!     the `Anderson1` strategy converges to exactly the bounds `Picard`
-//!     converges to.
+//! (a) Round skipping only saves per-flow analyses: on random converging
+//!     flow sets (the acceptance-sweep generator) the full report —
+//!     bounds, verdict, iteration count, convergence trace — is
+//!     `assert_eq!`-identical with skipping on and off.
 //! (b) The per-flow analyses of a round are independent, so the full
-//!     report — bounds, iteration count, convergence trace — is
-//!     `assert_eq!`-identical across worker-thread counts 1/2/8.
+//!     report is `assert_eq!`-identical across worker-thread counts 1/2/8.
 
-use gmfnet::analysis::{analyze, AnalysisConfig, FixedPointStrategy};
+use gmfnet::analysis::{analyze, AnalysisConfig};
 use gmfnet::workloads::SweepConfig;
 use proptest::prelude::*;
 
@@ -25,29 +25,22 @@ fn random_sweep_set(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// (a) Anderson-accelerated bounds equal Picard bounds at convergence.
+    /// (a) Skipping unchanged flows leaves every report byte-identical.
     #[test]
-    fn anderson_bounds_equal_picard_bounds(
+    fn skipping_reports_equal_full_rounds(
         seed in 0u64..1_000_000,
         n_flows in 2usize..10,
         utilization in 0.1f64..0.9,
     ) {
         let (topology, set) = random_sweep_set(seed, n_flows, utilization);
-        let picard = analyze(&topology, &set, &AnalysisConfig::paper()).unwrap();
-        let anderson = analyze(
+        let skip = analyze(&topology, &set, &AnalysisConfig::paper()).unwrap();
+        let full = analyze(
             &topology,
             &set,
-            &AnalysisConfig::paper().with_strategy(FixedPointStrategy::Anderson1),
+            &AnalysisConfig::paper().with_skip_unchanged_flows(false),
         )
         .unwrap();
-        // The two strategies always agree on the verdict, and at
-        // convergence every frame bound is byte-identical.
-        prop_assert_eq!(picard.converged, anderson.converged);
-        prop_assert_eq!(picard.schedulable, anderson.schedulable);
-        if picard.converged {
-            prop_assert_eq!(&picard.flows, &anderson.flows);
-            prop_assert_eq!(&picard.failure, &anderson.failure);
-        }
+        prop_assert_eq!(&skip, &full);
     }
 
     /// (b) Parallel and sequential rounds produce `assert_eq!` reports.
@@ -72,14 +65,15 @@ proptest! {
     }
 }
 
-/// The engine axes compose: an accelerated run is also thread-invariant.
+/// The engine axes compose: a run without round skipping is also
+/// thread-invariant.
 #[test]
-fn anderson_is_thread_invariant_too() {
+fn full_rounds_are_thread_invariant_too() {
     let (topology, set) = random_sweep_set(7, 8, 0.5);
-    let anderson = AnalysisConfig::paper().with_strategy(FixedPointStrategy::Anderson1);
-    let sequential = analyze(&topology, &set, &anderson).unwrap();
+    let full = AnalysisConfig::paper().with_skip_unchanged_flows(false);
+    let sequential = analyze(&topology, &set, &full).unwrap();
     for threads in [2usize, 8] {
-        let parallel = analyze(&topology, &set, &anderson.with_threads(threads)).unwrap();
+        let parallel = analyze(&topology, &set, &full.with_threads(threads)).unwrap();
         assert_eq!(sequential, parallel, "threads = {threads}");
     }
 }

@@ -6,11 +6,10 @@
 //! must be **byte-identical** to a cold from-scratch analysis of the
 //! re-routed survivor set: same schedulability verdict, same stranded set,
 //! same margin, same per-flow per-frame bounds.  Checked across worker
-//! threads (1 and 4) and both fixed-point strategies.
+//! threads (1 and 4) and round skipping (on and off).
 
 use gmfnet::analysis::{
-    divergence, single_failure_scenarios, AnalysisConfig, DependencyGraph, FixedPointStrategy,
-    SurvivabilityAnalysis,
+    divergence, single_failure_scenarios, AnalysisConfig, DependencyGraph, SurvivabilityAnalysis,
 };
 use gmfnet::workloads::{resilience_scenario, ResilienceConfig};
 use proptest::prelude::*;
@@ -19,7 +18,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Incremental == cold on every single failure of a random ring
-    /// workload, across threads and fixed-point strategies.
+    /// workload, across threads and round skipping.
     #[test]
     fn incremental_survivor_verdicts_are_byte_identical_to_cold(
         seed in 0u64..1_000_000,
@@ -27,11 +26,11 @@ proptest! {
         let config = ResilienceConfig::tiny();
         let scenario = resilience_scenario(seed, &config);
         let failures = single_failure_scenarios(&scenario.topology, &[2, 8]);
-        for strategy in [FixedPointStrategy::Picard, FixedPointStrategy::Anderson1] {
-            for threads in [1usize, 4] {
+        for threads in [1usize, 4] {
+            for skip in [false, true] {
                 let analysis_config = AnalysisConfig::paper()
-                    .with_strategy(strategy)
-                    .with_threads(threads);
+                    .with_threads(threads)
+                    .with_skip_unchanged_flows(skip);
                 let (analysis, _) = SurvivabilityAnalysis::new(
                     scenario.topology.clone(),
                     scenario.flows.clone(),
@@ -44,10 +43,10 @@ proptest! {
                     prop_assert_eq!(
                         divergence(&verdict, &cold),
                         None,
-                        "{} under {:?} x{} threads",
+                        "{} under x{} threads, skip {}",
                         failure.label(),
-                        strategy,
-                        threads
+                        threads,
+                        skip
                     );
                     // Structural invariants of the verdict itself.
                     if verdict.survivable {

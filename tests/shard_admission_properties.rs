@@ -1,75 +1,41 @@
 //! Property tests of the sharded admission plane: batched, shard-parallel
-//! warm admission must be *decision-for-decision byte-identical* to a
-//! sequential cold controller that re-analyses the whole accepted set per
-//! request — across worker threads, fixed-point strategies and
-//! arrival/departure (churn) orders — and the partition layer must track
-//! shard merges and splits exactly.
+//! warm admission must be *decision-for-decision byte-identical* to a cold
+//! fixed point of every trial set (the accepted flows plus the candidate)
+//! — across worker threads and arrival/departure (churn) orders — and the
+//! partition layer must track shard merges and splits exactly.
 //!
 //! The comparisons pin the tentpole claims of the sharded plane:
 //!
 //! (a) accept/reject verdicts, rejection reasons and victim attributions
 //!     are identical; warm (shard-scoped) trial reports are bytewise
 //!     projections of the cold (global) reports; the final accepted sets
-//!     are equal; and for the Picard strategy the final bounds also equal
-//!     the deliberately simple [`gmfnet::analysis::analyze_reference`]
-//!     oracle, which shares no hot-path code with the production engine;
+//!     are equal; and the final bounds also equal the deliberately simple
+//!     [`gmfnet::analysis::analyze_reference`] oracle, which shares no
+//!     hot-path code with the production engine;
 //! (b) an accepted bridge merges every shard its route touches
 //!     (merge-on-bridge), a rejection leaves the partition untouched, and
 //!     a departure splits the shard back — always agreeing with a
 //!     from-scratch [`DependencyGraph`] rebuild.
 
+mod support;
+
 use gmfnet::analysis::{
-    analyze_reference, AdmissionController, AdmissionDecision, AdmissionMode, AdmissionRequest,
-    AnalysisConfig, DependencyGraph, FixedPointStrategy,
+    analyze_reference, AdmissionController, AdmissionRequest, AnalysisConfig, DependencyGraph,
 };
 use gmfnet::net::{FlowSet, Topology};
 use gmfnet::workloads::{random_sweep_set, SweepConfig};
 use proptest::prelude::*;
+use support::{assert_matches_cold, ColdReference};
 
 fn sweep_set(seed: u64, n_flows: usize, utilization: f64) -> (Topology, FlowSet) {
     random_sweep_set(seed, n_flows, utilization, &SweepConfig::default())
 }
 
-/// Assert one batched-warm decision equals its sequential-cold
-/// counterpart: same verdict, same id, same reason and victim, and the
-/// warm (shard-scoped) report is a bytewise projection of the cold
-/// (global) one.
-fn assert_decisions_match(warm: &AdmissionDecision, cold: &AdmissionDecision, context: &str) {
-    assert_eq!(warm.is_accepted(), cold.is_accepted(), "{context}");
-    assert_eq!(warm.id(), cold.id(), "{context}");
-    match (warm, cold) {
-        (
-            AdmissionDecision::Rejected {
-                reason: warm_reason,
-                victim: warm_victim,
-                ..
-            },
-            AdmissionDecision::Rejected {
-                reason: cold_reason,
-                victim: cold_victim,
-                ..
-            },
-        ) => {
-            assert_eq!(warm_reason, cold_reason, "{context}");
-            assert_eq!(warm_victim, cold_victim, "{context}");
-        }
-        (AdmissionDecision::Accepted { .. }, AdmissionDecision::Accepted { .. }) => {}
-        _ => unreachable!("verdicts already compared"),
-    }
-    for flow_report in &warm.report().flows {
-        assert_eq!(
-            Some(flow_report),
-            cold.report().flow(flow_report.flow),
-            "{context}: warm shard report must project out of the cold global report"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// (a) Batched shard-parallel warm admission == sequential global cold
-    /// admission, across threads and strategies, through a churn step.
+    /// (a) Batched shard-parallel warm admission == a cold fixed point of
+    /// every trial set, across threads, through a churn step.
     #[test]
     fn batched_warm_admission_matches_sequential_cold(
         seed in 0u64..1_000_000,
@@ -79,76 +45,62 @@ proptest! {
         drop_index in 0usize..4,
     ) {
         let (topology, set) = sweep_set(seed, n_flows, utilization);
-        for strategy in [FixedPointStrategy::Picard, FixedPointStrategy::Anderson1] {
-            for threads in [1usize, 4] {
-                let config = AnalysisConfig::paper()
-                    .with_strategy(strategy)
-                    .with_threads(threads);
-                let mut warm = AdmissionController::new(topology.clone(), config)
-                    .with_mode(AdmissionMode::Warm);
-                let mut cold = AdmissionController::new(
-                    topology.clone(),
-                    AnalysisConfig::paper().with_strategy(strategy),
-                )
-                .with_mode(AdmissionMode::Cold);
+        for threads in [1usize, 4] {
+            let config = AnalysisConfig::paper().with_threads(threads);
+            let mut warm = AdmissionController::new(topology.clone(), config);
+            let mut cold = ColdReference {
+                topology: topology.clone(),
+                config: AnalysisConfig::paper(),
+                live: FlowSet::new(),
+            };
 
-                let bindings = set.bindings();
-                let (first, second) = bindings.split_at(bindings.len() / 2);
-                for (half, chunk_set) in [first, second].iter().enumerate() {
-                    for chunk in chunk_set.chunks(batch) {
-                        let requests: Vec<AdmissionRequest> = chunk
-                            .iter()
-                            .map(|b| {
-                                AdmissionRequest::new(
-                                    b.flow.clone(),
-                                    b.route.clone(),
-                                    b.priority,
-                                )
-                            })
-                            .collect();
-                        let warm_decisions = warm.request_batch(requests.clone()).unwrap();
-                        // The cold oracle takes the same requests one at a
-                        // time — the semantics request_batch must preserve.
-                        for (request, warm_decision) in
-                            requests.into_iter().zip(&warm_decisions)
-                        {
-                            let cold_decision =
-                                cold.request_batch([request]).unwrap().pop().unwrap();
-                            assert_decisions_match(
-                                warm_decision,
-                                &cold_decision,
-                                &format!("strategy {strategy:?}, threads {threads}"),
-                            );
-                        }
-                    }
-                    // Churn between the halves: the same departure on both
-                    // controllers must keep them in lockstep.
-                    if half == 0 {
-                        let ids: Vec<_> = warm.accepted().ids().collect();
-                        if !ids.is_empty() {
-                            let departing = ids[drop_index % ids.len()];
-                            warm.release(departing).unwrap();
-                            cold.release(departing).unwrap();
-                        }
+            let bindings = set.bindings();
+            let (first, second) = bindings.split_at(bindings.len() / 2);
+            for (half, chunk_set) in [first, second].iter().enumerate() {
+                for chunk in chunk_set.chunks(batch) {
+                    let requests: Vec<AdmissionRequest> = chunk
+                        .iter()
+                        .map(|b| {
+                            AdmissionRequest::new(b.flow.clone(), b.route.clone(), b.priority)
+                        })
+                        .collect();
+                    let warm_decisions = warm.request_batch(requests.clone()).unwrap();
+                    // The cold oracle takes the same requests one at a
+                    // time — the semantics request_batch must preserve.
+                    for (request, warm_decision) in requests.iter().zip(&warm_decisions) {
+                        let (id, reference) = cold.decide(request);
+                        assert_matches_cold(
+                            warm_decision,
+                            id,
+                            &reference.report,
+                            &format!("threads {threads}"),
+                        );
                     }
                 }
-
-                prop_assert_eq!(warm.accepted(), cold.accepted());
-                prop_assert_eq!(warm.partition(), &DependencyGraph::new(warm.accepted()));
-
-                // Independent final oracle: the reference engine (keyed,
-                // sequential Picard) agrees on the surviving set's bounds.
-                if strategy == FixedPointStrategy::Picard && !warm.accepted().is_empty() {
-                    let reference = analyze_reference(
-                        &topology,
-                        warm.accepted(),
-                        &AnalysisConfig::paper(),
-                    )
-                    .unwrap();
-                    let reanalyzed = warm.reanalyze().unwrap();
-                    prop_assert_eq!(&reference.flows, &reanalyzed.flows);
-                    prop_assert_eq!(reference.schedulable, reanalyzed.schedulable);
+                // Churn between the halves: the same departure on both
+                // sides must keep them in lockstep.
+                if half == 0 {
+                    let ids: Vec<_> = warm.accepted().ids().collect();
+                    if !ids.is_empty() {
+                        let departing = ids[drop_index % ids.len()];
+                        warm.release(departing).unwrap();
+                        cold.live.remove(departing).unwrap();
+                    }
                 }
+            }
+
+            prop_assert_eq!(warm.accepted(), &cold.live);
+            prop_assert_eq!(warm.partition(), &DependencyGraph::new(warm.accepted()));
+
+            // Independent final oracle: the reference engine (keyed,
+            // sequential Picard) agrees on the surviving set's bounds.
+            if !warm.accepted().is_empty() {
+                let reference =
+                    analyze_reference(&topology, warm.accepted(), &AnalysisConfig::paper())
+                        .unwrap();
+                let reanalyzed = warm.reanalyze().unwrap();
+                prop_assert_eq!(&reference.flows, &reanalyzed.flows);
+                prop_assert_eq!(reference.schedulable, reanalyzed.schedulable);
             }
         }
     }
@@ -173,8 +125,7 @@ fn bridge_admission_merges_shards_and_departure_splits_them() {
         )
     };
     let (topology, _, hosts) = star(6, LinkProfile::ethernet_100m(), SwitchConfig::paper());
-    let mut ctl = AdmissionController::new(topology.clone(), AnalysisConfig::paper())
-        .with_mode(AdmissionMode::Warm);
+    let mut ctl = AdmissionController::new(topology.clone(), AnalysisConfig::paper());
 
     // Two link-disjoint flows: two singleton shards.
     let r01 = shortest_path(&topology, hosts[0], hosts[1]).unwrap();
@@ -236,22 +187,19 @@ fn bridge_admission_merges_shards_and_departure_splits_them() {
     assert_eq!(ctl.partition().shard_of(b), Some(ShardId(b)));
     assert_eq!(ctl.partition(), &DependencyGraph::new(ctl.accepted()));
 
-    // The post-split controller still decides identically to a cold one.
+    // The post-split controller still decides identically to a cold
+    // analysis of the split set plus the candidate.
     let r45 = shortest_path(&topology, hosts[4], hosts[5]).unwrap();
-    let mut cold = AdmissionController::with_accepted(
+    let mut cold = ColdReference {
         topology,
-        ctl.accepted().clone(),
-        AnalysisConfig::paper(),
-    )
-    .unwrap()
-    .0
-    .with_mode(AdmissionMode::Cold);
+        config: AnalysisConfig::paper(),
+        live: ctl.accepted().clone(),
+    };
     let request = AdmissionRequest::new(probe("c", 10.0), r45, Priority(3));
-    let w = ctl.request_batch([request.clone()]).unwrap().pop().unwrap();
-    let c = cold.request_batch([request]).unwrap().pop().unwrap();
-    assert_eq!(w.is_accepted(), c.is_accepted());
-    assert_eq!(w.id(), c.id());
-    assert_eq!(ctl.accepted(), cold.accepted());
+    let (id, reference) = cold.decide(&request);
+    let w = ctl.request_batch([request]).unwrap().pop().unwrap();
+    assert_matches_cold(&w, id, &reference.report, "after the split");
+    assert_eq!(ctl.accepted(), &cold.live);
 }
 
 /// Topology-mutation edge case: cut a trunk of a ring workload, drive the
