@@ -25,13 +25,19 @@
 //!    assignment and every result are pure functions of the inputs, never
 //!    of scheduling);
 //! 2. each trial analyses only the candidate's shard (the union of the
-//!    shards its route touches), **warm-started** from the per-shard
-//!    slice of the cached converged [`JitterMap`] with re-verification
-//!    scoped by `affected_flows` — flows outside the closure keep their
-//!    cached [`FlowReport`] verbatim;
-//! 3. a lane seeds its warm state **once** from the shared cache and
-//!    rolls it forward across its requests, amortising cache extraction
-//!    over every candidate targeting the same shard;
+//!    shards its route touches), **warm-started** from the members'
+//!    cached converged jitters with re-verification scoped by
+//!    `affected_flows` — flows outside the closure keep their cached
+//!    [`FlowReport`] verbatim;
+//! 3. a lane seeds its warm state **once** from the shared cache — one
+//!    entry per flow (its converged jitters and, when fresh, its report,
+//!    both shared by `Arc`) — and rolls it forward across its requests:
+//!    a trial loads each member's jitters with one copy, builds one dense
+//!    dependency scope, and reuses every demand and demand table an
+//!    earlier trial of the lane compiled; an acceptance refreshes only
+//!    the entries of the flows the trial re-analysed.  Compiled demands
+//!    stay lane-local (dropped when the lane ends) so the controller's
+//!    memory does not grow with the accepted set (DESIGN.md §4.4);
 //! 4. the engine **falls back to a cold per-shard restart** whenever the
 //!    shard's dependency graph is cyclic (warm seeds could latch onto a
 //!    non-least fixed point) or the warm run fails to converge — so every
@@ -49,18 +55,19 @@
 //! Departures keep the cache warm too: [`AdmissionController::release`]
 //! drops the departed flow's jitters and invalidates only the cached
 //! reports of flows within the departed flow's shard that its departure
-//! can influence; everything else stays frozen.
+//! can influence; everything else stays frozen.  A batch of departures
+//! ([`AdmissionController::release_batch`]) builds one dependency scope
+//! per shard it touches and closes over all of that shard's departures at
+//! once.
 
 use crate::config::AnalysisConfig;
-use crate::context::{AnalysisContext, JitterMap};
-use crate::deps::{DependencyGraph, ShardId};
+use crate::context::{AnalysisContext, CompiledDemands};
+use crate::dense::DenseJitters;
+use crate::deps::{DependencyGraph, DependencyScope, ShardId};
 use crate::error::AnalysisError;
-use crate::fixed_point::{
-    acyclic_affected_flows, affected_flows, iterate, iterate_scoped, ConvergenceTrace,
-    FixedPointRun, Scope,
-};
+use crate::fixed_point::{iterate, run, ConvergenceTrace, DenseRun, Scope};
 use crate::report::{AnalysisReport, FlowReport};
-use gmf_model::{EncapsulationConfig, FlowId, GmfFlow};
+use gmf_model::{EncapsulationConfig, FlowId, GmfFlow, Time};
 use gmf_net::{FlowBinding, FlowSet, NodeId, Priority, Route, Topology};
 use gmf_par::{par_map_weighted, Threads};
 use serde::{Deserialize, Serialize};
@@ -299,27 +306,36 @@ pub struct PreloadStats {
     pub flow_analyses: usize,
 }
 
-/// The converged state of the accepted set, kept between requests by the
-/// warm engine.
+/// One accepted flow's converged state, kept between requests by the warm
+/// engine.
 ///
-/// Per-flow invariant: a flow with a cached report always also has its
-/// converged jitter entries (`reports ⊆ jitter-bearing flows`) — a frozen
-/// report is only sound when the interference inputs it was computed from
-/// are in the seed.  The reverse direction may break after departures:
-/// jitters can outlive their report (stale-from-above seeds are still
-/// valid on acyclic shards; the cold fallback covers spurious aborts).
-#[derive(Debug, Clone, Default)]
-struct WarmCache {
-    /// The converged jitter iterate of the last verified analysis of each
-    /// shard.
-    jitters: JitterMap,
-    /// Converged per-flow reports that are known fresh, shared with the
-    /// scoped engine rounds (which carry them by `Arc` instead of cloning
-    /// them once per round).  Flows missing here (their reports were
-    /// invalidated by a departure) are always re-verified on the next
-    /// trial.
-    reports: BTreeMap<FlowId, Arc<FlowReport>>,
+/// A flow with a cached report always also has its converged jitters — a
+/// frozen report is only sound when the interference inputs it was
+/// computed from are in the seed.  The reverse may break after
+/// departures: jitters can outlive their report (stale-from-above seeds
+/// are still valid on acyclic shards; the cold fallback covers spurious
+/// aborts).
+#[derive(Debug, Clone)]
+struct WarmFlow {
+    /// The flow's converged jitters from the last verified analysis of its
+    /// shard: its slice of the engine's dense arena, stage-major in route
+    /// order ([`DenseJitters::flow_slots`]).
+    jitters: Arc<[Time]>,
+    /// The flow's converged report, when known fresh — shared with the
+    /// scoped engine rounds, which carry it by `Arc` instead of cloning it
+    /// once per round.  `None` (invalidated by a departure) means the flow
+    /// is re-verified on its next trial.
+    report: Option<Arc<FlowReport>>,
 }
+
+/// The converged state of the accepted set: one entry per flow, so seeding
+/// a lane, seeding a trial, rolling a lane forward and merging it back
+/// each cost one map operation per flow.
+type WarmCache = BTreeMap<FlowId, WarmFlow>;
+
+/// Per flow index of a trial: the cached report a scoped run carried
+/// through frozen, or `None` for a flow it re-analysed.
+type FrozenReports = Vec<Option<Arc<FlowReport>>>;
 
 /// The conflict-footprint tokens of one batched request: two requests
 /// sharing any token must run in the same lane.
@@ -346,8 +362,7 @@ struct LaneInput {
 struct LaneOutput {
     decisions: Vec<(usize, AdmissionDecision)>,
     commits: Vec<(usize, FlowBinding)>,
-    jitters: JitterMap,
-    reports: BTreeMap<FlowId, Arc<FlowReport>>,
+    warm: WarmCache,
     /// Every flow the merged-back cache slice covers: the lane's starting
     /// members plus its accepted candidates.
     touched: BTreeSet<FlowId>,
@@ -420,11 +435,18 @@ impl AdmissionController {
             Threads::new(config.threads),
             &shard_sets,
             |(_, set)| u64::try_from(set.len()).unwrap_or(u64::MAX),
-            |_, (shard, set)| -> Result<FixedPointRun, AnalysisError> {
+            |_, (shard, set)| -> Result<(DenseRun, WarmCache), AnalysisError> {
                 let ctx = AnalysisContext::new(&topology, set)?;
-                let run = iterate(&ctx, &inner)?;
+                let mut run = iterate(&ctx, &inner)?;
                 if run.report.schedulable {
-                    Ok(run)
+                    let mut warm = WarmCache::new();
+                    if let Some(x) = &run.jitters {
+                        let reports = std::mem::take(&mut run.report.flows);
+                        for (index, report) in reports.into_iter().enumerate() {
+                            warm.insert(report.flow, warm_flow(&ctx, x, index, report));
+                        }
+                    }
+                    Ok((run, warm))
                 } else {
                     Err(AnalysisError::PreloadUnschedulable {
                         shard: shard.0,
@@ -443,19 +465,12 @@ impl AdmissionController {
             rounds: 0,
             flow_analyses: 0,
         };
-        let mut cache = WarmCache::default();
+        let mut cache = WarmCache::new();
         for run in runs {
-            let run = run?;
+            let (run, warm) = run?;
             stats.rounds += run.report.iterations;
             stats.flow_analyses += run.flow_analyses;
-            if let Some(jitters) = run.jitters {
-                for (&(flow, resource), values) in jitters.iter() {
-                    cache.jitters.insert_raw(flow, resource, values.clone());
-                }
-            }
-            for flow in run.report.flows {
-                cache.reports.insert(flow.flow, Arc::new(flow));
-            }
+            cache.extend(warm);
         }
         Ok((
             AdmissionController {
@@ -665,15 +680,13 @@ impl AdmissionController {
         // overlap) and assemble the decisions in submission order.
         let mut cache = self.cache.take().unwrap_or_default();
         let mut decisions: Vec<Option<AdmissionDecision>> = (0..n).map(|_| None).collect();
-        for output in outputs {
-            for flow in &output.touched {
-                cache.jitters.remove_flow(*flow);
-                cache.reports.remove(flow);
+        for mut output in outputs {
+            for flow in output.touched {
+                match output.warm.remove(&flow) {
+                    Some(warm) => cache.insert(flow, warm),
+                    None => cache.remove(&flow),
+                };
             }
-            for (&(flow, resource), values) in output.jitters.iter() {
-                cache.jitters.insert_raw(flow, resource, values.clone());
-            }
-            cache.reports.extend(output.reports);
             for (index, decision) in output.decisions {
                 decisions[index] = Some(decision);
             }
@@ -697,46 +710,61 @@ impl AdmissionController {
     ) -> LaneOutput {
         let mut lane_set = self.accepted.subset(lane.members.iter().copied());
         let mut lane_partition = DependencyGraph::new(&lane_set);
-        // Seed the lane's warm state once from the shared cache; every
-        // request of the lane then reuses (and, on acceptance, advances)
-        // this slice — the amortised warm-cache seeding.
-        let mut lane_jitters = JitterMap::default();
-        let mut lane_reports: BTreeMap<FlowId, Arc<FlowReport>> = BTreeMap::new();
-        if let Some(cache) = &self.cache {
-            for &flow in &lane.members {
-                cache.jitters.copy_flow_into(flow, &mut lane_jitters);
-                if let Some(report) = cache.reports.get(&flow) {
-                    lane_reports.insert(flow, Arc::clone(report));
-                }
-            }
-        }
+        // Seed the lane's warm state once from the shared cache (one entry
+        // per flow, shared by `Arc`); every request of the lane then reuses
+        // (and, on acceptance, advances) this slice.
+        let mut lane_warm: WarmCache = self
+            .cache
+            .iter()
+            .flat_map(|cache| {
+                lane.members
+                    .iter()
+                    .filter_map(|flow| cache.get(flow).map(|warm| (*flow, warm.clone())))
+            })
+            .collect();
+        // Demands and tables compiled by the lane's earlier trials: its
+        // bindings and topology are fixed, so every later trial reuses them.
+        let mut compiled = CompiledDemands::default();
         let mut out = LaneOutput {
             decisions: Vec::with_capacity(lane.indices.len()),
             commits: Vec::new(),
-            jitters: JitterMap::default(),
-            reports: BTreeMap::new(),
+            warm: WarmCache::new(),
             touched: lane.members.clone(),
             error: None,
         };
         for &index in &lane.indices {
-            let binding = bindings[index].clone();
+            let binding = &bindings[index];
             // The candidate's trial set: the union of the shards its
             // route touches (within the lane's rolled-forward state),
-            // plus the candidate itself.
+            // plus the candidate itself.  When those shards are the whole
+            // lane set, the trial takes the lane set over instead of
+            // copying it, and hands it back afterwards.
             let touched = lane_partition.shards_touching_route(&binding.route);
-            let mut trial = lane_set.subset(touched.iter().flat_map(|&shard| {
+            let shard_members = |shard: &ShardId| {
                 lane_partition
-                    .shard_flows(shard)
+                    .shard_flows(*shard)
                     // tidy-allow: unwrap invariant: shard ids come from shards_touching_route
                     .expect("touched shard exists")
-                    .iter()
-                    .copied()
-            }));
+            };
+            let whole_lane = touched
+                .iter()
+                .map(|s| shard_members(s).len())
+                .sum::<usize>()
+                == lane_set.len();
+            let mut trial = if whole_lane {
+                std::mem::take(&mut lane_set)
+            } else {
+                lane_set.subset(
+                    touched
+                        .iter()
+                        .flat_map(|s| shard_members(s).iter().copied()),
+                )
+            };
             if let Err(e) = trial.insert(binding.clone()) {
                 out.error = Some((index, AnalysisError::Net(e)));
                 break;
             }
-            let ctx = match AnalysisContext::new(&self.topology, &trial) {
+            let ctx = match AnalysisContext::with_compiled(&self.topology, &trial, &mut compiled) {
                 Ok(ctx) => ctx,
                 Err(e) => {
                     out.error = Some((index, e));
@@ -744,13 +772,9 @@ impl AdmissionController {
                 }
             };
 
-            // Warm attempt: seed from the lane's jitter slice, restricted
-            // to the trial's members.  An empty seed means the shard has
-            // no cached state at all — go straight to the cold path.
-            let mut seed = JitterMap::default();
-            for flow in trial.ids().filter(|&f| f != binding.id) {
-                lane_jitters.copy_flow_into(flow, &mut seed);
-            }
+            // Warm attempt, seeded from the lane's warm slice.  No cached
+            // state for any member means the shard has none at all — go
+            // straight to the cold path.
             let mut cost = DecisionCost {
                 rounds: 0,
                 flow_analyses: 0,
@@ -758,15 +782,18 @@ impl AdmissionController {
                 shard: ShardId(trial.bindings()[0].id),
                 shard_flows: trial.len(),
             };
-            let mut run: Option<FixedPointRun> = None;
-            if seed.iter().next().is_some() {
-                match warm_shard_trial(&ctx, config, &trial, binding.id, seed, &lane_reports) {
-                    Ok(Some(warm)) => {
+            let mut run: Option<(DenseRun, FrozenReports)> = None;
+            if trial
+                .ids()
+                .any(|f| f != binding.id && lane_warm.contains_key(&f))
+            {
+                match warm_shard_trial(&ctx, config, binding.id, &lane_warm) {
+                    Ok(Some((warm, frozen))) => {
                         cost.rounds += warm.report.iterations;
                         cost.flow_analyses += warm.flow_analyses;
                         if warm.report.converged {
                             cost.warm = true;
-                            run = Some(warm);
+                            run = Some((warm, frozen));
                         }
                     }
                     Ok(None) => {}
@@ -779,13 +806,13 @@ impl AdmissionController {
                     Err(_) => {}
                 }
             }
-            let run = match run {
+            let (run, frozen) = match run {
                 Some(run) => run,
                 None => match iterate(&ctx, config) {
                     Ok(cold) => {
                         cost.rounds += cold.report.iterations;
                         cost.flow_analyses += cold.flow_analyses;
-                        cold
+                        (cold, Vec::new())
                     }
                     Err(e) => {
                         out.error = Some((index, e));
@@ -793,48 +820,54 @@ impl AdmissionController {
                     }
                 },
             };
-            drop(ctx);
-
-            let FixedPointRun {
+            let DenseRun {
                 report, jitters, ..
             } = run;
             if report.schedulable {
-                // Roll the lane state forward: register the candidate and
-                // refresh the warm slice of every trial flow from the
-                // converged run.
-                for flow in trial.ids() {
-                    lane_jitters.remove_flow(flow);
-                }
-                match jitters {
-                    Some(jitters) => {
-                        for (&(flow, resource), values) in jitters.iter() {
-                            lane_jitters.insert_raw(flow, resource, values.clone());
-                        }
-                        for flow in &report.flows {
-                            lane_reports.insert(flow.flow, Arc::new(flow.clone()));
+                // Roll the lane state forward: refresh the warm entry of
+                // every flow the run re-analysed (frozen flows carried
+                // their cached jitters and report through unchanged).
+                match &jitters {
+                    Some(x) => {
+                        for (flow, flow_report) in report.flows.iter().enumerate() {
+                            if frozen.get(flow).is_some_and(Option::is_some) {
+                                continue;
+                            }
+                            lane_warm.insert(
+                                flow_report.flow,
+                                warm_flow(&ctx, x, flow, flow_report.clone()),
+                            );
                         }
                     }
                     // No converged map handed back (cannot happen for a
                     // schedulable report, but stay safe): drop the lane's
                     // warm state rather than risk a stale slice.
-                    None => {
-                        lane_jitters = JitterMap::default();
-                        lane_reports.clear();
-                    }
+                    None => lane_warm.clear(),
                 }
-                lane_partition.insert(&binding);
-                lane_set
-                    .insert(binding.clone())
-                    // tidy-allow: unwrap invariant: batch ids are reserved and unique
-                    .expect("batch ids are reserved and unique");
+                drop(ctx);
+                lane_partition.insert(binding);
+                if whole_lane {
+                    lane_set = trial;
+                } else {
+                    lane_set
+                        .insert(binding.clone())
+                        // tidy-allow: unwrap invariant: batch ids are reserved and unique
+                        .expect("batch ids are reserved and unique");
+                }
                 out.touched.insert(binding.id);
                 out.commits.push((index, binding.clone()));
+            } else if whole_lane {
+                drop(ctx);
+                trial
+                    .remove(binding.id)
+                    // tidy-allow: unwrap invariant: the candidate was inserted above
+                    .expect("the candidate is in its trial set");
+                lane_set = trial;
             }
             out.decisions
                 .push((index, build_decision(binding.id, report, cost)));
         }
-        out.jitters = lane_jitters;
-        out.reports = lane_reports;
+        out.warm = lane_warm;
         out
     }
 
@@ -846,35 +879,12 @@ impl AdmissionController {
     /// re-verified on the next request); everything else stays frozen.
     /// The invalidation set is computed within the departing flow's shard
     /// — flows outside it cannot be influenced — so a release costs
-    /// O(shard), not O(accepted).
+    /// O(shard), not O(accepted).  This is
+    /// [`AdmissionController::release_batch`] with one id.
     pub fn release(&mut self, id: FlowId) -> Result<FlowBinding, AnalysisError> {
-        // Compute the invalidation set on the *pre-removal* shard: the
-        // departed flow's interference edges still exist there.
-        let affected = if self.cache.is_some() && self.accepted.contains(id) {
-            self.partition
-                .shard_of(id)
-                .and_then(|shard| self.partition.shard_flows(shard))
-                .map(|members| self.accepted.subset(members.iter().copied()))
-                .and_then(|shard_set| affected_flows(&shard_set, id))
-        } else {
-            None
-        };
-        let binding = self.accepted.remove(id).map_err(AnalysisError::Net)?;
-        self.partition.remove(&binding, &self.accepted);
-        if let Some(cache) = self.cache.as_mut() {
-            match affected {
-                Some(affected) => {
-                    cache.jitters.remove_flow(id);
-                    for flow in affected {
-                        cache.reports.remove(&flow);
-                    }
-                }
-                // No dependency information: drop the whole cache and let
-                // the next request restart cold.
-                None => self.cache = None,
-            }
-        }
-        Ok(binding)
+        let mut removed = self.release_batch(&[id])?;
+        // tidy-allow: unwrap invariant: a successful batch returns one binding per id
+        Ok(removed.pop().expect("one binding per released id"))
     }
 
     /// Release several accepted flows at once — the multi-flow stranding
@@ -887,6 +897,10 @@ impl AdmissionController {
     /// union is computed on the pre-removal partition — a superset of
     /// what the sequential releases would invalidate step by step, and
     /// invalidating more only costs re-verification, never soundness.
+    /// Each pre-removal shard builds its dependency graph once and closes
+    /// over all of its departing flows at once (closure distributes over
+    /// union, so this is exactly the union of the per-flow closures), and
+    /// the partition rebuilds each touched shard once.
     ///
     /// The batch is atomic: every id must name a distinct accepted flow,
     /// or the whole call fails with [`gmf_net::NetError::UnknownFlow`]
@@ -901,44 +915,26 @@ impl AdmissionController {
         }
         // Compute the invalidation union on the *pre-removal* shards: the
         // departing flows' interference edges still exist there.
-        let affected: Option<BTreeSet<FlowId>> = if self.cache.is_some() {
-            let mut union = BTreeSet::new();
-            let mut complete = true;
-            for &id in ids {
-                let closure = self
-                    .partition
-                    .shard_of(id)
-                    .and_then(|shard| self.partition.shard_flows(shard))
-                    .map(|members| self.accepted.subset(members.iter().copied()))
-                    .and_then(|shard_set| affected_flows(&shard_set, id));
-                match closure {
-                    Some(closure) => union.extend(closure),
-                    None => {
-                        complete = false;
-                        break;
-                    }
-                }
-            }
-            complete.then_some(union)
+        let affected = if self.cache.is_some() {
+            self.invalidated_by(ids)
         } else {
             None
         };
         let mut bindings = Vec::with_capacity(ids.len());
         for &id in ids {
-            let binding = self.accepted.remove(id).map_err(AnalysisError::Net)?;
-            self.partition.remove(&binding, &self.accepted);
-            bindings.push(binding);
+            bindings.push(self.accepted.remove(id).map_err(AnalysisError::Net)?);
         }
-        if self.cache.is_some() {
+        self.partition.remove_many(&bindings, &self.accepted);
+        if let Some(cache) = self.cache.as_mut() {
             match affected {
                 Some(affected) => {
-                    // tidy-allow: unwrap invariant: checked is_some above
-                    let cache = self.cache.as_mut().expect("cache checked above");
-                    for &id in ids {
-                        cache.jitters.remove_flow(id);
+                    for id in ids {
+                        cache.remove(id);
                     }
                     for flow in affected {
-                        cache.reports.remove(&flow);
+                        if let Some(warm) = cache.get_mut(&flow) {
+                            warm.report = None;
+                        }
                     }
                 }
                 // No dependency information for some departing flow: drop
@@ -947,6 +943,36 @@ impl AdmissionController {
             }
         }
         Ok(bindings)
+    }
+
+    /// The flows whose cached reports the departure of `ids` can change:
+    /// per pre-removal shard, one dependency graph closed over all of the
+    /// shard's departing flows.  `None` when some route is structurally
+    /// broken.
+    fn invalidated_by(&self, ids: &[FlowId]) -> Option<BTreeSet<FlowId>> {
+        let mut by_shard: BTreeMap<ShardId, Vec<FlowId>> = BTreeMap::new();
+        for &id in ids {
+            by_shard
+                .entry(self.partition.shard_of(id)?)
+                .or_default()
+                .push(id);
+        }
+        let mut affected = BTreeSet::new();
+        for (shard, departing) in by_shard {
+            let members = self
+                .partition
+                .shard_flows(shard)?
+                .iter()
+                .map(|&id| self.accepted.get(id).ok())
+                .collect::<Option<Vec<&FlowBinding>>>()?;
+            let scope = DependencyScope::build(members)?;
+            let seeds = departing
+                .iter()
+                .map(|&id| scope.index_of(id))
+                .collect::<Option<Vec<usize>>>()?;
+            affected.extend(scope.affected_ids(&seeds));
+        }
+        Some(affected)
     }
 
     /// Swap the managed topology for a new one *without* invalidating the
@@ -1017,9 +1043,8 @@ impl AdmissionController {
     pub fn cached_reports(&self) -> impl Iterator<Item = (FlowId, &FlowReport)> + '_ {
         self.cache.iter().flat_map(|cache| {
             cache
-                .reports
                 .iter()
-                .map(|(id, report)| (*id, report.as_ref()))
+                .filter_map(|(id, warm)| Some((*id, warm.report.as_deref()?)))
         })
     }
 
@@ -1066,54 +1091,69 @@ fn build_decision(
     }
 }
 
+/// A flow's warm-cache entry from a converged run: its slice of the
+/// converged iterate `x` (flow index `flow` of `ctx`) and its report.
+fn warm_flow(
+    ctx: &AnalysisContext<'_>,
+    x: &DenseJitters,
+    flow: usize,
+    report: FlowReport,
+) -> WarmFlow {
+    debug_assert_eq!(ctx.plan().flows[flow].id, report.flow);
+    WarmFlow {
+        jitters: x.flow_slots(ctx.plan(), flow).into(),
+        report: Some(Arc::new(report)),
+    }
+}
+
 /// Run the warm-started, dependency-scoped trial analysis of one shard,
 /// or return `None` when warm-starting is unsound or unavailable for this
-/// trial (cyclic dependency graph, unwalkable route).  `seed` holds the
-/// cached jitters of the trial's members (never the candidate's).
+/// trial (cyclic dependency graph, unwalkable route).  The seed holds the
+/// lane's cached jitters of the trial's members and the paper's initial
+/// entries for the candidate.  Returns the run with the per-flow frozen
+/// reports it carried through.
 fn warm_shard_trial(
     ctx: &AnalysisContext<'_>,
     config: &AnalysisConfig,
-    trial: &FlowSet,
     candidate_id: FlowId,
-    mut seed: JitterMap,
-    cached_reports: &BTreeMap<FlowId, Arc<FlowReport>>,
-) -> Result<Option<FixedPointRun>, AnalysisError> {
+    lane_warm: &WarmCache,
+) -> Result<Option<(DenseRun, FrozenReports)>, AnalysisError> {
     // One dependency-graph construction answers both questions: is the
     // trial acyclic (warm starts are unsound otherwise) and what the
     // candidate can influence.
-    let Some(affected) = acyclic_affected_flows(trial, candidate_id) else {
+    let trial = ctx.flows();
+    let Some(scope) = DependencyScope::build(trial.bindings()) else {
         return Ok(None);
     };
+    let Some(candidate) = scope.index_of(candidate_id).filter(|_| scope.is_acyclic()) else {
+        return Ok(None);
+    };
+    let affected = scope.affected(&[candidate]);
 
     // Re-verify the affected flows plus everything whose cached report a
     // departure invalidated; freeze the rest (shared, not cloned — the
-    // engine carries frozen reports by `Arc`).
-    let mut active: BTreeSet<FlowId> = affected;
-    let mut frozen: BTreeMap<FlowId, Arc<FlowReport>> = BTreeMap::new();
-    for binding in trial.bindings() {
-        if active.contains(&binding.id) {
-            continue;
+    // engine carries frozen reports by `Arc`).  Seed every member from
+    // its cached jitters and the candidate from its source jitters.
+    let plan = ctx.plan();
+    let mut seed = DenseJitters::zeroed(plan);
+    let mut frozen = Vec::with_capacity(trial.len());
+    for (flow, binding) in trial.bindings().iter().enumerate() {
+        let warm = lane_warm.get(&binding.id);
+        if let Some(warm) = warm {
+            seed.load_flow(plan, flow, &warm.jitters);
         }
-        match cached_reports.get(&binding.id) {
-            Some(report) => {
-                frozen.insert(binding.id, Arc::clone(report));
-            }
-            None => {
-                active.insert(binding.id);
-            }
-        }
+        frozen.push(if affected[flow] {
+            None
+        } else {
+            warm.and_then(|w| w.report.clone())
+        });
     }
+    debug_assert!(!lane_warm.contains_key(&candidate_id));
+    seed.set_initial_flow(plan, candidate, &trial.bindings()[candidate]);
 
-    // Seed: cached converged jitters for the members, the paper's initial
-    // (source-jitter) entries for the candidate.
-    debug_assert!(seed.iter().all(|(&(flow, _), _)| flow != candidate_id));
-    seed.set_initial(trial.get(candidate_id).map_err(AnalysisError::Net)?);
-
-    let scope = Scope {
-        active: &active,
-        frozen: &frozen,
-    };
-    iterate_scoped(ctx, config, seed, &scope).map(Some)
+    let scope = Scope { frozen: &frozen };
+    let run = run(ctx, config, seed, Some(&scope))?;
+    Ok(Some((run, frozen)))
 }
 
 #[cfg(test)]

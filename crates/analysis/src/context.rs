@@ -19,8 +19,9 @@
 
 use crate::error::AnalysisError;
 use gmf_model::{DemandTable, FlowId, GmfFlow, LinkDemand, Time};
-use gmf_net::{FlowSet, NodeId, Topology};
+use gmf_net::{FlowBinding, FlowSet, NodeId, Topology};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -249,74 +250,148 @@ impl JitterMap {
     pub(crate) fn insert_raw(&mut self, flow: FlowId, resource: ResourceId, values: Vec<Time>) {
         self.values.insert((flow, resource), values);
     }
-
-    /// Copy every stored entry of `flow` into `target` (a `BTreeMap` range
-    /// scan — `(flow, ·)` keys are contiguous).  The admission plane uses
-    /// this to carve one shard's jitters out of the global warm cache and
-    /// to fold a committed trial's jitters back in.
-    pub(crate) fn copy_flow_into(&self, flow: FlowId, target: &mut JitterMap) {
-        let lo = (
-            flow,
-            ResourceId::Link {
-                from: NodeId(0),
-                to: NodeId(0),
-            },
-        );
-        let hi = (
-            FlowId(flow.0 + 1),
-            ResourceId::Link {
-                from: NodeId(0),
-                to: NodeId(0),
-            },
-        );
-        for (&key, values) in self.values.range(lo..hi) {
-            target.values.insert(key, values.clone());
-        }
-    }
 }
 
 /// Cached per-link demands, the dense-index plan and references to the
 /// topology and flow set.
 ///
 /// The context is read-only during a single holistic round; the jitter map
-/// is threaded separately so that rounds are explicit.  Besides the keyed
-/// demand cache of the public API, construction interns flows and
-/// resources into dense indices and precomputes every flow's per-stage
+/// is threaded separately so that rounds are explicit.  Construction
+/// compiles every flow's per-hop demands and tables, interns flows and
+/// their `(flow, resource)` pairs into dense indices and precomputes every
+/// flow's per-stage
 /// interference tables (see [`crate::dense`]) — the engine's hot loops
 /// never touch a tree map or rescan the flow set.
 #[derive(Debug, Clone)]
 pub struct AnalysisContext<'a> {
     topology: &'a Topology,
     flows: &'a FlowSet,
-    /// Demand storage, indexed by the dense plan's demand ids.
-    demands: Vec<LinkDemand>,
+    /// Demand storage, indexed by the dense plan's demand ids: each flow's
+    /// demands on the hops of its route, in hop order, from its
+    /// `demand_start`.  Owned when the context compiled them itself,
+    /// borrowed from an admission lane's [`CompiledDemands`] otherwise
+    /// (which may also hold flows outside this context).
+    demands: Cow<'a, [LinkDemand]>,
     /// Precompiled prefix-maximum tables, parallel to `demands` (same
     /// index space) — the only demand view the per-frame kernels touch.
-    tables: Vec<DemandTable>,
-    /// Keyed view of `demands` backing the public [`Self::demand`] API.
-    demand_lookup: BTreeMap<(FlowId, NodeId, NodeId), u32>,
+    tables: Cow<'a, [DemandTable]>,
+    /// Flow index → demand id of the first hop of its route.
+    demand_start: Vec<u32>,
     /// The interner and interference tables.
     plan: crate::dense::DensePlan,
 }
 
+/// Compiled demands and demand tables of a growing set of flows: every
+/// flow's [`LinkDemand`] and [`DemandTable`] on each hop of its route, in
+/// hop order, stored contiguously.  [`AnalysisContext::new`] compiles its
+/// flows into a fresh one and owns it.  An admission lane keeps one for
+/// its whole run — its trials share topology and bindings, so a flow
+/// compiles identically in every trial — and drops it when the lane ends.
+#[derive(Debug, Default)]
+pub(crate) struct CompiledDemands {
+    demands: Vec<LinkDemand>,
+    tables: Vec<DemandTable>,
+    /// Flow → demand id of the first hop of its route.
+    start: BTreeMap<FlowId, u32>,
+}
+
+impl CompiledDemands {
+    /// The demand id of each flow's first hop, in binding order (see
+    /// [`Self::compile`]).
+    fn compile_all(
+        &mut self,
+        topology: &Topology,
+        flows: &FlowSet,
+    ) -> Result<Vec<u32>, AnalysisError> {
+        flows
+            .bindings()
+            .iter()
+            .map(|binding| self.compile(topology, binding))
+            .collect()
+    }
+
+    /// The demand id of `binding`'s first hop, compiling the flow first
+    /// unless it is already here (then it must be the same binding on the
+    /// same topology).
+    fn compile(
+        &mut self,
+        topology: &Topology,
+        binding: &FlowBinding,
+    ) -> Result<u32, AnalysisError> {
+        if let Some(&start) = self.start.get(&binding.id) {
+            return Ok(start);
+        }
+        let start = crate::index::cx(self.demands.len());
+        for hop in binding.route.hops() {
+            let link = topology.link_between(hop.from, hop.to)?;
+            let demand = LinkDemand::new(&binding.flow, &binding.encapsulation, link.speed);
+            self.tables.push(DemandTable::new(&demand));
+            self.demands.push(demand);
+        }
+        self.start.insert(binding.id, start);
+        Ok(start)
+    }
+}
+
 impl<'a> AnalysisContext<'a> {
     /// Build the context: pre-compute the demand of every flow on every
-    /// link of its route, intern flows and resources, lay out the jitter
-    /// arena and build the per-stage interference tables.
+    /// link of its route, intern flows and their `(flow, resource)`
+    /// pairs, lay out the jitter arena and build the per-stage
+    /// interference tables.
     pub fn new(topology: &'a Topology, flows: &'a FlowSet) -> Result<Self, AnalysisError> {
-        let mut demands = Vec::new();
-        let mut demand_lookup = BTreeMap::new();
-        let plan =
-            crate::dense::DensePlan::build(topology, flows, &mut demands, &mut demand_lookup)?;
-        let tables = demands.iter().map(DemandTable::new).collect();
+        let mut compiled = CompiledDemands::default();
+        let demand_start = compiled.compile_all(topology, flows)?;
+        Self::assemble(
+            topology,
+            flows,
+            Cow::Owned(compiled.demands),
+            Cow::Owned(compiled.tables),
+            demand_start,
+        )
+    }
+
+    /// [`Self::new`] over the lane's `compiled` demands: flows compiled
+    /// by an earlier context are reused, the rest are compiled into
+    /// `compiled` first, and the context borrows the demands from there.
+    pub(crate) fn with_compiled(
+        topology: &'a Topology,
+        flows: &'a FlowSet,
+        compiled: &'a mut CompiledDemands,
+    ) -> Result<Self, AnalysisError> {
+        let demand_start = compiled.compile_all(topology, flows)?;
+        let compiled: &'a CompiledDemands = compiled;
+        Self::assemble(
+            topology,
+            flows,
+            Cow::Borrowed(&compiled.demands),
+            Cow::Borrowed(&compiled.tables),
+            demand_start,
+        )
+    }
+
+    /// Intern the flows over their compiled demands.
+    fn assemble(
+        topology: &'a Topology,
+        flows: &'a FlowSet,
+        demands: Cow<'a, [LinkDemand]>,
+        tables: Cow<'a, [DemandTable]>,
+        demand_start: Vec<u32>,
+    ) -> Result<Self, AnalysisError> {
+        let plan = crate::dense::DensePlan::build(topology, flows, &demands, &demand_start)?;
         Ok(AnalysisContext {
             topology,
             flows,
             demands,
             tables,
-            demand_lookup,
+            demand_start,
             plan,
         })
+    }
+
+    /// The demand ids of flow index `index`: one per hop of its route.
+    fn demand_range(&self, index: usize) -> std::ops::Range<usize> {
+        let start = crate::index::ux(self.demand_start[index]);
+        start..start + self.flows.bindings()[index].route.n_hops()
     }
 
     /// The dense plan (interner, arena layout, interference tables).
@@ -340,16 +415,17 @@ impl<'a> AnalysisContext<'a> {
     /// Aggregate table statistics for the `kernel/*` bench counters:
     /// `(number of tables, total stored window spans, plan term count)`.
     pub fn kernel_stats(&self) -> (u64, u64, u64) {
-        let windows = self
-            .tables
-            .iter()
-            .map(|t| u64::try_from(t.n_windows()).unwrap_or(u64::MAX))
-            .sum();
-        (
-            u64::try_from(self.tables.len()).unwrap_or(u64::MAX),
-            windows,
-            u64::try_from(self.plan.terms.len()).unwrap_or(u64::MAX),
-        )
+        let count = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
+        let (mut tables, mut windows) = (0, 0);
+        for index in 0..self.flows.len() {
+            let range = self.demand_range(index);
+            tables += count(range.len());
+            windows += self.tables[range]
+                .iter()
+                .map(|t| count(t.n_windows()))
+                .sum::<u64>();
+        }
+        (tables, windows, count(self.plan.terms.len()))
     }
 
     /// The network topology.
@@ -373,9 +449,17 @@ impl<'a> AnalysisContext<'a> {
     /// (flow, link) pair the flow does not traverse is a programming error
     /// and panics.
     pub fn demand(&self, flow: FlowId, from: NodeId, to: NodeId) -> &LinkDemand {
-        self.demand_lookup
-            .get(&(flow, from, to))
-            .map(|&index| &self.demands[crate::index::ux(index)])
+        let bindings = self.flows.bindings();
+        bindings
+            .binary_search_by_key(&flow, |b| b.id)
+            .ok()
+            .and_then(|index| {
+                let hop = bindings[index]
+                    .route
+                    .hops()
+                    .position(|hop| hop.from == from && hop.to == to)?;
+                Some(&self.demands[self.demand_range(index).start + hop])
+            })
             .unwrap_or_else(|| panic!("no cached demand for {flow} on link({},{})", from.0, to.0))
     }
 
@@ -535,6 +619,59 @@ mod tests {
         assert_eq!(ctx.flows().len(), 2);
         assert_eq!(ctx.flow(FlowId(0)).unwrap().n_frames(), 9);
         assert_eq!(ctx.topology().n_nodes(), t.n_nodes());
+    }
+
+    /// A lane that accepts several candidates in a row: every trial set
+    /// is the previous one plus a candidate, built over the demands the
+    /// earlier trials compiled.  Each context equals a fresh one — every
+    /// flow's demands and tables, the kernel statistics and the analysis
+    /// — and only the candidate is compiled anew.
+    #[test]
+    fn lane_reused_compiled_demands_equal_a_fresh_context() {
+        let (t, net) = paper_figure1();
+        let pairs = [(0, 3), (1, 3), (2, 0), (0, 2), (3, 1), (1, 2)];
+        let config = crate::AnalysisConfig::paper();
+        let mut compiled = CompiledDemands::default();
+        let mut lane = FlowSet::new();
+        for (i, &(from, to)) in pairs.iter().enumerate() {
+            let mut trial = lane.clone();
+            let route = shortest_path(&t, net.hosts[from], net.hosts[to]).unwrap();
+            let candidate_hops = route.n_hops();
+            let flow = if i % 2 == 0 {
+                paper_figure3_flow("video", Time::from_millis(150.0), Time::from_millis(1.0))
+            } else {
+                cbr_flow(
+                    "voice",
+                    160,
+                    Time::from_millis(20.0),
+                    Time::from_millis(20.0),
+                    Time::ZERO,
+                )
+            };
+            trial.add(flow, route, Priority(7 - u8::try_from(i).unwrap()));
+            let compiled_before = compiled.demands.len();
+            let fresh = AnalysisContext::new(&t, &trial).unwrap();
+            let fresh_report = crate::fixed_point::iterate(&fresh, &config).unwrap().report;
+            let reused = AnalysisContext::with_compiled(&t, &trial, &mut compiled).unwrap();
+            for index in 0..trial.len() {
+                let (a, b) = (fresh.demand_range(index), reused.demand_range(index));
+                assert_eq!(fresh.demands[a.clone()], reused.demands[b.clone()]);
+                assert_eq!(fresh.tables[a], reused.tables[b]);
+            }
+            assert_eq!(reused.kernel_stats(), fresh.kernel_stats());
+            assert_eq!(
+                crate::fixed_point::iterate(&reused, &config)
+                    .unwrap()
+                    .report,
+                fresh_report
+            );
+            drop(reused);
+            // Only the candidate was compiled: every member came from the
+            // lane's earlier trials.
+            assert_eq!(compiled.start.len(), i + 1);
+            assert_eq!(compiled.demands.len(), compiled_before + candidate_hops);
+            lane = trial;
+        }
     }
 
     #[test]

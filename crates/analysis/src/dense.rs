@@ -8,10 +8,11 @@
 //! busy-period recurrences dominate the cost of a holistic round.  This
 //! module interns everything once per analysis:
 //!
-//! * **Flow and resource interner** — flows get dense indices (their
-//!   position in the id-sorted binding list), resources get dense indices
-//!   in a sorted table, and every `(flow, resource-on-its-route)` pair gets
-//!   a *pair id* addressing a contiguous `n_frames` range of a flat arena.
+//! * **Flow and pair interner** — flows get dense indices (their
+//!   position in the id-sorted binding list), and every
+//!   `(flow, resource-on-its-route)` pair gets a *pair id*, numbered flow
+//!   by flow in walk order, addressing a contiguous `n_frames` range of a
+//!   flat arena — so each flow's jitters are one contiguous slice too.
 //! * **[`DenseJitters`]** — the generalized-jitter state as one `Vec<Time>`
 //!   arena plus a per-pair running max cache, replacing the `BTreeMap`
 //!   probes of [`JitterMap::get`] / [`JitterMap::max_jitter`] with slot
@@ -24,9 +25,12 @@
 //!   `hep` and probing demand maps inside fixed-point closures.
 //!
 //! The plan is immutable for the lifetime of its
-//! [`crate::context::AnalysisContext`]; the engine converts the keyed seed
-//! to dense form once per run ([`DenseJitters::from_keyed`]) and converts
-//! the converged iterate back once at the end ([`DenseJitters::to_keyed`]).
+//! [`crate::context::AnalysisContext`].  The engine runs on the dense
+//! arena from seed to converged iterate; only the public
+//! `iterate_from` converts a keyed seed in ([`DenseJitters::from_keyed`])
+//! and the converged iterate back out ([`DenseJitters::to_keyed`]), while
+//! the admission plane moves whole per-flow slices
+//! ([`DenseJitters::flow_slots`], [`DenseJitters::load_flow`]).
 //! Every value it stores or computes is obtained by the same arithmetic, in
 //! the same order, as the keyed stage implementations, so bounds are
 //! byte-identical (property-tested against the keyed reference engine in
@@ -36,12 +40,61 @@ use crate::context::{JitterMap, ResourceId};
 use crate::error::{AnalysisError, StageKind};
 use crate::index::{cx, ux};
 use gmf_model::{FlowId, LinkDemand, Time};
-use gmf_net::{FlowSet, NodeId, Topology};
+use gmf_net::{FlowBinding, FlowSet, NetError, NodeId, Route, Topology};
 
 /// Sentinel pair id for an interferer that never accumulates jitter at the
 /// stage's resource (a flow terminating at the switch whose ingress is
 /// analysed): its stored jitter is identically zero.
 pub(crate) const NO_PAIR: u32 = u32::MAX;
+
+/// Append the Figure 6 walk of `route` to `walk`: its resources in route
+/// order, each with the directed link whose flows interfere there — the
+/// first link, then per switch its ingress (fed by the incoming link) and
+/// its egress link.  Fails only on a structurally broken route.
+pub(crate) fn route_walk(
+    route: &Route,
+    walk: &mut Vec<(ResourceId, NodeId, NodeId)>,
+) -> Result<(), NetError> {
+    let source = route.source();
+    let first_succ = route.successor(source)?;
+    walk.push((
+        ResourceId::Link {
+            from: source,
+            to: first_succ,
+        },
+        source,
+        first_succ,
+    ));
+    for &switch in route.switches() {
+        let prec = route.predecessor(switch)?;
+        let succ = route.successor(switch)?;
+        walk.push((ResourceId::SwitchIngress { node: switch }, prec, switch));
+        walk.push((
+            ResourceId::Link {
+                from: switch,
+                to: succ,
+            },
+            switch,
+            succ,
+        ));
+    }
+    Ok(())
+}
+
+/// One flow transmitting on a directed link, resolved to the dense indices
+/// of the stages the link feeds (plan construction only).
+#[derive(Debug, Clone, Copy)]
+struct LinkUser {
+    /// The flow's index.
+    flow: usize,
+    /// Its demand on the link.
+    demand: u32,
+    /// Its jitter pair at the link's output queue.
+    link_pair: u32,
+    /// Its jitter pair at the ingress of the switch the link feeds, or
+    /// [`NO_PAIR`] when the link ends its route.
+    ingress_pair: u32,
+}
 
 /// One interfering flow at one stage, fully resolved to dense indices.
 #[derive(Debug, Clone)]
@@ -136,12 +189,8 @@ pub(crate) struct FlowPlan {
 /// The per-analysis interner and interference tables (see module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct DensePlan {
-    /// All distinct resources of all flows' walks, sorted.
-    pub resources: Vec<ResourceId>,
     /// One plan per flow, in binding (id) order.
     pub flows: Vec<FlowPlan>,
-    /// Pair id → resource index (into `resources`).
-    pub pair_resource: Vec<u32>,
     /// Pair id → first arena slot of its `n_frames` range.
     pub pair_base: Vec<u32>,
     /// Pair id → number of frames (range length).
@@ -154,134 +203,78 @@ pub(crate) struct DensePlan {
 }
 
 impl DensePlan {
-    /// Intern `flows` against `topology`: number the resources, lay out the
+    /// Intern `flows` against `topology`: number the pairs, lay out the
     /// jitter arena and build every flow's interference tables.  `demands`
-    /// receives the per-(flow, link) demands in discovery order; stage
-    /// plans reference them by index.
+    /// holds every flow's demands on the hops of its route, in binding and
+    /// hop order, flow index `i` starting at `demand_start[i]`; stage plans
+    /// reference them by index.
     pub fn build(
         topology: &Topology,
         flows: &FlowSet,
-        demands: &mut Vec<LinkDemand>,
-        demand_lookup: &mut std::collections::BTreeMap<(FlowId, NodeId, NodeId), u32>,
+        demands: &[LinkDemand],
+        demand_start: &[u32],
     ) -> Result<DensePlan, AnalysisError> {
         use std::collections::BTreeMap;
 
         let bindings = flows.bindings();
-        let link_index = flows.link_index();
-
-        // Demands: one per (flow, hop-of-its-route), discovered in binding
-        // order (identical coverage to the keyed context).
-        for binding in bindings {
-            for hop in binding.route.hops() {
-                let link = topology.link_between(hop.from, hop.to)?;
-                let demand = LinkDemand::new(&binding.flow, &binding.encapsulation, link.speed);
-                demand_lookup.insert(
-                    (binding.id, hop.from, hop.to),
-                    // tidy-allow: unwrap invariant: demand count fits u32
-                    u32::try_from(demands.len()).expect("demand count fits u32"),
-                );
-                demands.push(demand);
-            }
-        }
-        let demand_of =
-            |flow: FlowId, from: NodeId, to: NodeId| -> u32 { demand_lookup[&(flow, from, to)] };
 
         // The resource walk of every flow, in route order.  `walks[i]`
         // aligns with `bindings[i]`.
         let mut walks: Vec<Vec<(ResourceId, NodeId, NodeId)>> = Vec::with_capacity(bindings.len());
         for binding in bindings {
-            let route = &binding.route;
-            let source = route.source();
-            let first_succ = route.successor(source)?;
-            let mut walk = vec![(
-                ResourceId::Link {
-                    from: source,
-                    to: first_succ,
-                },
-                source,
-                first_succ,
-            )];
-            for &switch in route.switches() {
-                let prec = route.predecessor(switch)?;
-                let succ = route.successor(switch)?;
-                walk.push((ResourceId::SwitchIngress { node: switch }, prec, switch));
-                walk.push((
-                    ResourceId::Link {
-                        from: switch,
-                        to: succ,
-                    },
-                    switch,
-                    succ,
-                ));
-            }
+            let mut walk = Vec::new();
+            route_walk(&binding.route, &mut walk)?;
             walks.push(walk);
         }
 
-        // Resource interner.
-        let mut resources: Vec<ResourceId> = walks
-            .iter()
-            .flat_map(|walk| walk.iter().map(|&(resource, _, _)| resource))
-            .collect();
-        resources.sort_unstable();
-        resources.dedup();
-        let resource_of = |resource: ResourceId| -> u32 {
-            u32::try_from(
-                resources
-                    .binary_search(&resource)
-                    // tidy-allow: unwrap invariant: walk resources are interned
-                    .expect("walk resources are interned"),
-            )
-            // tidy-allow: unwrap invariant: resource count fits u32
-            .expect("resource count fits u32")
-        };
-
         // Pair layout: one pair per (flow, resource-of-its-walk), arena
         // ranges assigned in walk order.
-        let mut pair_resource = Vec::new();
         let mut pair_base = Vec::new();
         let mut pair_frames = Vec::new();
-        let mut pair_lookup: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+        let mut first_pair = Vec::with_capacity(bindings.len());
         let mut arena_len = 0u32;
-        for (flow_idx, (binding, walk)) in bindings.iter().zip(&walks).enumerate() {
+        for (binding, walk) in bindings.iter().zip(&walks) {
             // tidy-allow: unwrap invariant: frame count fits u32
             let n_frames = u32::try_from(binding.flow.n_frames()).expect("frame count fits u32");
-            for &(resource, _, _) in walk {
-                // tidy-allow: unwrap invariant: pair count fits u32
-                let pair = u32::try_from(pair_resource.len()).expect("pair count fits u32");
-                let resource_idx = resource_of(resource);
-                pair_lookup.insert((cx(flow_idx), resource_idx), pair);
-                pair_resource.push(resource_idx);
+            // tidy-allow: unwrap invariant: pair count fits u32
+            first_pair.push(u32::try_from(pair_base.len()).expect("pair count fits u32"));
+            for _ in walk {
                 pair_base.push(arena_len);
                 pair_frames.push(n_frames);
                 arena_len += n_frames;
             }
         }
-        // Pair of `flow`'s jitter at `resource`, NO_PAIR when the flow
-        // never stores jitter there (reads are then identically zero).
-        let flow_idx_of: BTreeMap<FlowId, u32> = bindings
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (b.id, cx(i)))
-            .collect();
-        let pair_of = |flow: FlowId, resource: ResourceId| -> u32 {
-            resources
-                .binary_search(&resource)
-                .ok()
-                .and_then(|resource_idx| {
-                    pair_lookup
-                        .get(&(flow_idx_of[&flow], cx(resource_idx)))
-                        .copied()
-                })
-                .unwrap_or(NO_PAIR)
-        };
+        // Every directed link's users in id order (the order of
+        // `FlowSet::flows_on_link`), each resolved to dense indices.  Stage
+        // `k` of a walk sits on hop `k / 2` of the route, and a link stage
+        // is followed by the ingress of the switch it feeds — unless the
+        // link ends the route.
+        let mut link_users: BTreeMap<(NodeId, NodeId), Vec<LinkUser>> = BTreeMap::new();
+        for (flow, walk) in walks.iter().enumerate() {
+            for (k, &(resource, from, to)) in walk.iter().enumerate() {
+                if let ResourceId::Link { .. } = resource {
+                    let pair = first_pair[flow] + cx(k);
+                    link_users.entry((from, to)).or_default().push(LinkUser {
+                        flow,
+                        demand: demand_start[flow] + cx(k / 2),
+                        link_pair: pair,
+                        ingress_pair: if k + 1 < walk.len() {
+                            pair + 1
+                        } else {
+                            NO_PAIR
+                        },
+                    });
+                }
+            }
+        }
 
         // Per-flow stage plans with interference tables.
         let mut flow_plans = Vec::with_capacity(bindings.len());
         let mut terms: Vec<TermSpec> = Vec::new();
-        for (binding, walk) in bindings.iter().zip(&walks) {
+        for (flow, (binding, walk)) in bindings.iter().zip(&walks).enumerate() {
             let mut stages = Vec::with_capacity(walk.len());
             let mut input_pairs: Vec<u32> = Vec::new();
-            for &(resource, from, to) in walk {
+            for (k, &(resource, from, to)) in walk.iter().enumerate() {
                 let (stage, circ, propagation) = match resource {
                     ResourceId::Link { .. } if from == binding.route.source() => (
                         StageKind::FirstHop,
@@ -300,19 +293,23 @@ impl DensePlan {
 
                 // Interferer set and overload-check utilization, summed in
                 // the same id order as the keyed stage code.
-                let on_link = link_index.flows_on_link(from, to);
+                let on_link = link_users.get(&(from, to)).map_or(&[][..], Vec::as_slice);
+                let pair_at = |user: &LinkUser| match resource {
+                    ResourceId::Link { .. } => user.link_pair,
+                    ResourceId::SwitchIngress { .. } => user.ingress_pair,
+                };
                 let mut interferers = Vec::new();
                 // tidy-allow: float utilization is a dimensionless ratio compared against 1.0, not a bound
                 let mut utilization = 0.0f64;
                 match stage {
                     StageKind::FirstHop => {
-                        for &j in on_link {
-                            let demand = demand_of(j, from, to);
+                        for user in on_link {
+                            let demand = user.demand;
                             utilization += demands[ux(demand)].utilization();
-                            let is_self = j == binding.id;
+                            let is_self = user.flow == flow;
                             interferers.push(Interferer {
                                 demand,
-                                pair: pair_of(j, resource),
+                                pair: pair_at(user),
                                 blocking_c: if is_self {
                                     Time::ZERO
                                 } else {
@@ -323,36 +320,33 @@ impl DensePlan {
                         }
                     }
                     StageKind::SwitchIngress => {
-                        for &j in on_link {
-                            let demand = demand_of(j, from, to);
+                        for user in on_link {
+                            let demand = user.demand;
                             let d = &demands[ux(demand)];
                             // tidy-allow: float, cast round-count to ratio conversion for the overload check only
                             utilization += d.nsum() as f64 * circ.as_secs() / d.tsum().as_secs();
                             interferers.push(Interferer {
                                 demand,
-                                pair: pair_of(j, resource),
+                                pair: pair_at(user),
                                 blocking_c: Time::ZERO,
-                                is_self: j == binding.id,
+                                is_self: user.flow == flow,
                             });
                         }
                     }
                     StageKind::EgressLink => {
-                        for &j in on_link {
-                            if j == binding.id {
+                        for user in on_link {
+                            if user.flow == flow || bindings[user.flow].priority < binding.priority
+                            {
                                 continue;
                             }
-                            let other = flows.get(j).map_err(AnalysisError::Net)?;
-                            if other.priority < binding.priority {
-                                continue;
-                            }
-                            let demand = demand_of(j, from, to);
+                            let demand = user.demand;
                             let d = &demands[ux(demand)];
                             // tidy-allow: float, cast round-count to ratio conversion for the overload check only
                             utilization += (d.csum().as_secs() + d.nsum() as f64 * circ.as_secs())
                                 / d.tsum().as_secs();
                             interferers.push(Interferer {
                                 demand,
-                                pair: pair_of(j, resource),
+                                pair: pair_at(user),
                                 blocking_c: Time::ZERO,
                                 is_self: false,
                             });
@@ -392,8 +386,8 @@ impl DensePlan {
                 stages.push(StagePlan {
                     stage,
                     resource,
-                    pair: pair_of(binding.id, resource),
-                    own_demand: demand_of(binding.id, from, to),
+                    pair: first_pair[flow] + cx(k),
+                    own_demand: demand_start[flow] + cx(k / 2),
                     utilization,
                     all_terms: all_start..all_end,
                     other_terms,
@@ -413,9 +407,7 @@ impl DensePlan {
         }
 
         Ok(DensePlan {
-            resources,
             flows: flow_plans,
-            pair_resource,
             pair_base,
             pair_frames,
             arena_len: ux(arena_len),
@@ -427,6 +419,15 @@ impl DensePlan {
     #[inline]
     pub fn term_slice(&self, range: &std::ops::Range<u32>) -> &[TermSpec] {
         &self.terms[ux(range.start)..ux(range.end)]
+    }
+
+    /// The arena range of flow index `flow`: its pairs are laid out
+    /// contiguously in walk order, so this is one slice of
+    /// `stages × n_frames` slots.
+    pub fn flow_range(&self, flow: usize) -> std::ops::Range<usize> {
+        let flow_plan = &self.flows[flow];
+        let base = ux(self.pair_base[ux(flow_plan.first_link_pair)]);
+        base..base + flow_plan.stages.len() * flow_plan.n_frames
     }
 
     /// Number of pairs in the layout.
@@ -471,10 +472,8 @@ impl DenseJitters {
     /// first link, zero everywhere else.
     pub fn initial(plan: &DensePlan, flows: &FlowSet) -> DenseJitters {
         let mut map = DenseJitters::zeroed(plan);
-        for (flow_plan, binding) in plan.flows.iter().zip(flows.bindings()) {
-            for (frame, spec) in binding.flow.frames().iter().enumerate() {
-                map.set(plan, flow_plan.first_link_pair, frame, spec.jitter);
-            }
+        for (flow, binding) in flows.bindings().iter().enumerate() {
+            map.set_initial_flow(plan, flow, binding);
         }
         map
     }
@@ -490,13 +489,10 @@ impl DenseJitters {
             let Ok(flow_idx) = bindings.binary_search_by_key(&flow, |b| b.id) else {
                 continue;
             };
-            let Ok(resource_idx) = plan.resources.binary_search(&resource) else {
-                continue;
-            };
             let Some(pair) = plan.flows[flow_idx]
                 .stages
                 .iter()
-                .find(|s| ux(plan.pair_resource[ux(s.pair)]) == resource_idx)
+                .find(|s| s.resource == resource)
                 .map(|s| s.pair)
             else {
                 continue;
@@ -512,6 +508,39 @@ impl DenseJitters {
                 .fold(Time::ZERO, Time::max);
         }
         map
+    }
+
+    /// Flow index `flow`'s slots, stage-major in walk order (see
+    /// [`DensePlan::flow_range`]) — the per-flow form the admission
+    /// plane's warm cache stores.
+    pub fn flow_slots(&self, plan: &DensePlan, flow: usize) -> &[Time] {
+        &self.values[plan.flow_range(flow)]
+    }
+
+    /// Overwrite flow index `flow`'s slots with `slots` (as returned by
+    /// [`Self::flow_slots`] for the same flow and route) and recompute its
+    /// pairs' maxima.  A slice of the wrong length is ignored, leaving
+    /// the flow's slots as they were.
+    pub fn load_flow(&mut self, plan: &DensePlan, flow: usize, slots: &[Time]) {
+        let range = plan.flow_range(flow);
+        if range.len() != slots.len() {
+            return;
+        }
+        self.values[range].copy_from_slice(slots);
+        for stage in &plan.flows[flow].stages {
+            self.maxes[ux(stage.pair)] = self.values[plan.range(stage.pair)]
+                .iter()
+                .copied()
+                .fold(Time::ZERO, Time::max);
+        }
+    }
+
+    /// Set flow index `flow`'s source jitters on its first link, as the
+    /// paper's initial map does (the warm trial's candidate seed).
+    pub fn set_initial_flow(&mut self, plan: &DensePlan, flow: usize, binding: &FlowBinding) {
+        for (frame, spec) in binding.flow.frames().iter().enumerate() {
+            self.set(plan, plan.flows[flow].first_link_pair, frame, spec.jitter);
+        }
     }
 
     /// Convert back to the keyed boundary form (seed caching, public API).

@@ -39,12 +39,15 @@
 //! and `G^{depth+1}` is a constant map, so a seed taken from the converged
 //! map of a closely related flow set (the previous admission decision)
 //! lands on byte-identical bounds in far fewer rounds.  On top of that,
-//! [`affected_flows`] computes which flows a candidate can influence at
-//! all — everything unreachable from it in the dependency graph keeps its
-//! cached converged [`FlowReport`] verbatim and is never re-analysed
-//! ([`Scope`]).  [`crate::admission::AdmissionController`] combines both
-//! into its incremental admission engine, with a cold restart whenever the
-//! dependency graph is cyclic or a warm run fails to converge.
+//! [`crate::deps::affected_flows`] computes which flows a candidate can
+//! influence at all — everything unreachable from it in the dependency
+//! graph keeps its cached converged [`FlowReport`] verbatim and is never
+//! re-analysed ([`Scope`]).  [`crate::admission::AdmissionController`]
+//! combines both into its incremental admission engine, with a cold
+//! restart whenever the dependency graph is cyclic or a warm run fails to
+//! converge.  Internally every run starts from and ends in the dense
+//! jitter arena ([`run`]); only the public [`iterate_from`] converts from
+//! and to the keyed [`JitterMap`].
 
 use crate::config::AnalysisConfig;
 use crate::context::{AnalysisContext, JitterMap};
@@ -94,215 +97,6 @@ impl ConvergenceTrace {
     }
 }
 
-/// A node of the jitter dependency graph: the jitter of one flow at one
-/// resource of its route.
-type DepNode = (gmf_model::FlowId, crate::context::ResourceId);
-
-/// The Figure 6 pipeline walk of one flow: its resources in route order,
-/// each paired with the underlying directed link whose flow set interferes
-/// at that resource.  `None` if the route is structurally broken (a
-/// condition the analysis itself reports as an error).
-fn flow_stages(
-    binding: &gmf_net::FlowBinding,
-) -> Option<
-    Vec<(
-        crate::context::ResourceId,
-        (gmf_net::NodeId, gmf_net::NodeId),
-    )>,
-> {
-    use crate::context::ResourceId;
-    let route = &binding.route;
-    let source = route.source();
-    let first_succ = route.successor(source).ok()?;
-    let mut stages = vec![(
-        ResourceId::Link {
-            from: source,
-            to: first_succ,
-        },
-        (source, first_succ),
-    )];
-    for &switch in route.switches() {
-        let succ = route.successor(switch).ok()?;
-        let prec = route.predecessor(switch).ok()?;
-        stages.push((ResourceId::SwitchIngress { node: switch }, (prec, switch)));
-        stages.push((
-            ResourceId::Link {
-                from: switch,
-                to: succ,
-            },
-            (switch, succ),
-        ));
-    }
-    Some(stages)
-}
-
-/// The edges of the jitter dependency graph of `flows`.
-///
-/// Nodes are `(flow, resource)` pairs.  The jitter a flow accumulates at
-/// resource `r_{i+1}` of its route is its jitter at `r_i` plus its response
-/// at `r_i`, and that response reads the jitter of every interfering flow
-/// at `r_i` — so there is an edge `(A, r_i) → (A, r_{i+1})` and an edge
-/// `(B, r_i) → (A, r_{i+1})` for every `B` sharing `r_i`'s underlying link
-/// with `A`.  `None` if any route is structurally broken.
-fn dependency_edges(
-    flows: &gmf_net::FlowSet,
-) -> Option<std::collections::BTreeMap<DepNode, Vec<DepNode>>> {
-    let link_index = flows.link_index();
-    let mut edges: std::collections::BTreeMap<DepNode, Vec<DepNode>> =
-        std::collections::BTreeMap::new();
-    for binding in flows.bindings() {
-        let stages = flow_stages(binding)?;
-        for window in stages.windows(2) {
-            let (resource, (from, to)) = window[0];
-            let (next_resource, _) = window[1];
-            let target = (binding.id, next_resource);
-            edges
-                .entry((binding.id, resource))
-                .or_default()
-                .push(target);
-            for &other in link_index.flows_on_link(from, to) {
-                if other != binding.id {
-                    edges.entry((other, resource)).or_default().push(target);
-                }
-            }
-        }
-    }
-    Some(edges)
-}
-
-/// Iterative three-colour DFS cycle check over a prepared edge map.
-fn edges_have_cycle(edges: &std::collections::BTreeMap<DepNode, Vec<DepNode>>) -> bool {
-    use std::collections::BTreeMap;
-    type Node = DepNode;
-
-    #[derive(Clone, Copy, PartialEq)]
-    enum Colour {
-        InProgress,
-        Done,
-    }
-    let mut colour: BTreeMap<Node, Colour> = BTreeMap::new();
-    let nodes: Vec<Node> = edges.keys().copied().collect();
-    for start in nodes {
-        if colour.contains_key(&start) {
-            continue;
-        }
-        // Stack of (node, next child index).
-        let mut stack: Vec<(Node, usize)> = vec![(start, 0)];
-        colour.insert(start, Colour::InProgress);
-        while let Some(&mut (node, ref mut child)) = stack.last_mut() {
-            let empty = Vec::new();
-            let targets = edges.get(&node).unwrap_or(&empty);
-            if *child < targets.len() {
-                let next = targets[*child];
-                *child += 1;
-                match colour.get(&next) {
-                    Some(Colour::InProgress) => return true,
-                    Some(Colour::Done) => {}
-                    None => {
-                        colour.insert(next, Colour::InProgress);
-                        stack.push((next, 0));
-                    }
-                }
-            } else {
-                colour.insert(node, Colour::Done);
-                stack.pop();
-            }
-        }
-    }
-    false
-}
-
-/// The flows whose analysis can change when `seed` is added to (or removed
-/// from) `flows` — the scope of re-verification for an incremental
-/// admission decision.
-///
-/// A flow `F` is *affected* iff the response bound of `F` at some resource
-/// `r` of its route can change, which happens exactly when a flow sharing
-/// `r`'s underlying interference link either is `seed` itself (its demand
-/// appears or disappears from the interference sum) or has a changed
-/// generalized jitter at `r`.  Changed jitters are the closure of `seed`'s
-/// own nodes under the dependency edges: `jitter(A, r_{i+1})` is a function
-/// of the jitters at `r_i` of every flow interfering with `A` there.
-///
-/// Flows *not* in the returned set keep byte-identical bounds: every input
-/// of every one of their per-resource analyses is untouched by `seed`, so a
-/// cached converged [`crate::report::FlowReport`] stays valid verbatim.
-///
-/// Returns `None` when a route is structurally broken (the caller falls
-/// back to re-verifying everything).
-pub(crate) fn affected_flows(
-    flows: &gmf_net::FlowSet,
-    seed: gmf_model::FlowId,
-) -> Option<std::collections::BTreeSet<gmf_model::FlowId>> {
-    let edges = dependency_edges(flows)?;
-    affected_flows_in(flows, seed, &edges)
-}
-
-/// [`affected_flows`] + acyclicity in one dependency-graph construction —
-/// the per-request combination the warm admission path needs.  `None` when
-/// the graph is cyclic (warm starts are unsound there) or a route is
-/// structurally broken.
-pub(crate) fn acyclic_affected_flows(
-    flows: &gmf_net::FlowSet,
-    seed: gmf_model::FlowId,
-) -> Option<std::collections::BTreeSet<gmf_model::FlowId>> {
-    let edges = dependency_edges(flows)?;
-    if edges_have_cycle(&edges) {
-        return None;
-    }
-    affected_flows_in(flows, seed, &edges)
-}
-
-/// The [`affected_flows`] closure over a prepared edge map.
-fn affected_flows_in(
-    flows: &gmf_net::FlowSet,
-    seed: gmf_model::FlowId,
-    edges: &std::collections::BTreeMap<DepNode, Vec<DepNode>>,
-) -> Option<std::collections::BTreeSet<gmf_model::FlowId>> {
-    use std::collections::{BTreeMap, BTreeSet};
-
-    let link_index = flows.link_index();
-    let stages: BTreeMap<gmf_model::FlowId, _> = flows
-        .bindings()
-        .iter()
-        .map(|b| Some((b.id, flow_stages(b)?)))
-        .collect::<Option<_>>()?;
-
-    // Closure of the seed flow's own nodes under the dependency edges:
-    // every (flow, resource) whose jitter value can differ between the
-    // with-seed and without-seed fixed points.
-    let mut changed: BTreeSet<DepNode> = stages[&seed]
-        .iter()
-        .map(|&(resource, _)| (seed, resource))
-        .collect();
-    let mut worklist: Vec<DepNode> = changed.iter().copied().collect();
-    while let Some(node) = worklist.pop() {
-        for &next in edges.get(&node).into_iter().flatten() {
-            if changed.insert(next) {
-                worklist.push(next);
-            }
-        }
-    }
-
-    let mut affected = BTreeSet::new();
-    affected.insert(seed);
-    for binding in flows.bindings() {
-        if affected.contains(&binding.id) {
-            continue;
-        }
-        let touched = stages[&binding.id].iter().any(|&(resource, (from, to))| {
-            link_index
-                .flows_on_link(from, to)
-                .iter()
-                .any(|&other| other == seed || changed.contains(&(other, resource)))
-        });
-        if touched {
-            affected.insert(binding.id);
-        }
-    }
-    Some(affected)
-}
-
 /// Everything one `G` evaluation produces.  Reports are `Arc`-shared:
 /// frozen and round-skipped flows hand the same allocation to every round
 /// instead of deep-copying `R × F` report clones across the run.
@@ -331,25 +125,23 @@ fn unwrap_reports(reports: Vec<Arc<FlowReport>>) -> Vec<FlowReport> {
 }
 
 /// A dependency-derived re-verification scope for an incremental
-/// (warm-started) run: only `active` flows are re-analysed each round;
-/// every other flow's converged [`FlowReport`] is carried verbatim and its
-/// jitter entries are copied through from the current iterate.
+/// (warm-started) run: only active flows are re-analysed each round;
+/// every frozen flow's converged [`FlowReport`] is carried verbatim and
+/// its jitter entries are copied through from the current iterate.
 ///
-/// Correctness rests on [`affected_flows`]: a flow outside `active` has no
-/// analysis input that can differ from the cached converged run, so both
-/// its report and its jitters are already at their (unique, acyclic-case)
-/// fixed-point values.  Scoping therefore implies an *acyclic* dependency
-/// graph — callers must have checked it (see [`acyclic_affected_flows`]);
-/// the engine trusts the scope.
+/// Correctness rests on [`crate::deps::affected_flows`]: a flow outside
+/// the affected set has no analysis input that can differ from the cached
+/// converged run, so both its report and its jitters are already at their
+/// (unique, acyclic-case) fixed-point values.  Scoping therefore implies
+/// an *acyclic* dependency graph — callers must have checked it (see
+/// `DependencyScope::is_acyclic`); the engine trusts the scope.
 pub(crate) struct Scope<'s> {
-    /// Flows to re-analyse every round (the candidate plus everything
-    /// reachable from it in the dependency graph, plus any flow whose
-    /// cached report was invalidated by an earlier departure).
-    pub active: &'s std::collections::BTreeSet<gmf_model::FlowId>,
-    /// Converged reports of the inactive flows, shared into every round's
-    /// report vector.  Must cover exactly the flows of the context that
-    /// are not in `active`.
-    pub frozen: &'s std::collections::BTreeMap<gmf_model::FlowId, Arc<FlowReport>>,
+    /// Per flow index of the context: the converged report of a frozen
+    /// flow, shared into every round's report vector, or `None` for a
+    /// flow to re-analyse every round (the candidate, everything
+    /// reachable from it in the dependency graph, and any flow whose
+    /// cached report an earlier departure invalidated).
+    pub frozen: &'s [Option<Arc<FlowReport>>],
 }
 
 /// What the engine remembers about one flow's last analysis: its report
@@ -402,11 +194,9 @@ fn evaluate_round(
     let plan = ctx.plan();
     let bindings = ctx.flows().bindings();
 
-    let roles: Vec<FlowRole> = bindings
-        .iter()
-        .enumerate()
-        .map(|(index, binding)| {
-            if !scope.is_none_or(|s| s.active.contains(&binding.id)) {
+    let roles: Vec<FlowRole> = (0..bindings.len())
+        .map(|index| {
+            if scope.is_some_and(|s| s.frozen[index].is_some()) {
                 FlowRole::Inactive
             } else if config.skip_unchanged_flows
                 && cache[index].is_some()
@@ -454,12 +244,9 @@ fn evaluate_round(
         match roles[index] {
             FlowRole::Inactive => {
                 let frozen = scope
-                    // tidy-allow: unwrap invariant: inactive flows only exist under a scope
-                    .expect("inactive flows only exist under a scope")
-                    .frozen
-                    .get(&binding.id)
-                    // tidy-allow: unwrap invariant: scoped rounds carry a frozen report for every inactive flow
-                    .expect("scoped rounds carry a frozen report for every inactive flow");
+                    .and_then(|s| s.frozen[index].as_ref())
+                    // tidy-allow: unwrap invariant: inactive flows are exactly the frozen ones of a scope
+                    .expect("inactive flows are exactly the frozen ones of a scope");
                 reports.push(Arc::clone(frozen));
             }
             FlowRole::Skipped => {
@@ -549,6 +336,17 @@ pub struct FixedPointRun {
     pub flow_analyses: usize,
 }
 
+/// [`FixedPointRun`] with the converged iterate left in the engine's
+/// dense arena form — what the admission plane caches flow by flow.
+pub(crate) struct DenseRun {
+    /// The analysis report.
+    pub report: AnalysisReport,
+    /// The converged iterate `x*` — present iff the run converged.
+    pub jitters: Option<DenseJitters>,
+    /// Number of per-flow pipeline analyses performed.
+    pub flow_analyses: usize,
+}
+
 /// Run the holistic jitter iteration from the paper's initial map (source
 /// jitter on first links, zero elsewhere).
 ///
@@ -558,8 +356,13 @@ pub struct FixedPointRun {
 pub(crate) fn iterate(
     ctx: &AnalysisContext<'_>,
     config: &AnalysisConfig,
-) -> Result<FixedPointRun, AnalysisError> {
-    iterate_inner(ctx, config, JitterMap::initial(ctx.flows()), None)
+) -> Result<DenseRun, AnalysisError> {
+    run(
+        ctx,
+        config,
+        DenseJitters::initial(ctx.plan(), ctx.flows()),
+        None,
+    )
 }
 
 /// Run the holistic jitter iteration warm-started from `initial`.
@@ -584,30 +387,30 @@ pub fn iterate_from(
     config: &AnalysisConfig,
     initial: JitterMap,
 ) -> Result<FixedPointRun, AnalysisError> {
-    iterate_inner(ctx, config, initial, None)
-}
-
-/// [`iterate_from`] restricted to a re-verification scope: only
-/// `scope.active` flows are re-analysed; the rest keep their frozen
-/// converged reports and jitters.  See [`Scope`] for the correctness
-/// argument.
-pub(crate) fn iterate_scoped(
-    ctx: &AnalysisContext<'_>,
-    config: &AnalysisConfig,
-    initial: JitterMap,
-    scope: &Scope<'_>,
-) -> Result<FixedPointRun, AnalysisError> {
-    iterate_inner(ctx, config, initial, Some(scope))
-}
-
-fn iterate_inner(
-    ctx: &AnalysisContext<'_>,
-    config: &AnalysisConfig,
-    initial: JitterMap,
-    scope: Option<&Scope<'_>>,
-) -> Result<FixedPointRun, AnalysisError> {
     let plan = ctx.plan();
-    let mut x = DenseJitters::from_keyed(plan, ctx.flows(), &initial);
+    let seed = DenseJitters::from_keyed(plan, ctx.flows(), &initial);
+    let DenseRun {
+        report,
+        jitters,
+        flow_analyses,
+    } = run(ctx, config, seed, None)?;
+    Ok(FixedPointRun {
+        report,
+        jitters: jitters.map(|x| x.to_keyed(plan)),
+        flow_analyses,
+    })
+}
+
+/// The engine: Picard rounds from the dense iterate `x`, re-analysing
+/// only the flows a `scope` leaves active (see [`Scope`] for the
+/// correctness argument; `None` re-analyses every flow).
+pub(crate) fn run(
+    ctx: &AnalysisContext<'_>,
+    config: &AnalysisConfig,
+    mut x: DenseJitters,
+    scope: Option<&Scope<'_>>,
+) -> Result<DenseRun, AnalysisError> {
+    let plan = ctx.plan();
     let mut flow_analyses = 0usize;
     let mut last_reports: Vec<Arc<FlowReport>> = Vec::new();
     let mut trace = ConvergenceTrace::default();
@@ -641,7 +444,7 @@ fn iterate_inner(
                     residual: Time::ZERO,
                 });
                 drop(cache);
-                return Ok(FixedPointRun {
+                return Ok(DenseRun {
                     report: AnalysisReport {
                         flows: unwrap_reports(partial),
                         converged: false,
@@ -676,9 +479,8 @@ fn iterate_inner(
             // The reports are exactly the evaluation `G(x)`, so `x` (not
             // `gx`) is the map to cache: re-evaluating `G` at it
             // reproduces them byte for byte.
-            let jitters = Some(x.to_keyed(plan));
             drop(cache);
-            return Ok(FixedPointRun {
+            return Ok(DenseRun {
                 report: AnalysisReport {
                     flows: unwrap_reports(reports),
                     converged: true,
@@ -687,7 +489,7 @@ fn iterate_inner(
                     failure,
                     trace,
                 },
-                jitters,
+                jitters: Some(x),
                 flow_analyses,
             });
         }
@@ -698,7 +500,7 @@ fn iterate_inner(
 
     // The jitter iteration did not stabilise within the budget.
     drop(cache);
-    Ok(FixedPointRun {
+    Ok(DenseRun {
         report: AnalysisReport {
             flows: unwrap_reports(last_reports),
             converged: false,

@@ -14,9 +14,10 @@
 //! `timings_ns` carries the wall-clock medians (machine-dependent);
 //! `counters` carries the engine's *deterministic* cost metrics — holistic
 //! rounds and per-flow analyses per workload (with dirty-flow skipping off
-//! and on), the simulator's event and calendar-queue shape counters, and
-//! the tightness-atlas percentile counters — which must be bit-identical
-//! on every machine.  Schema 3 added the `sim/*` and `atlas/*` counters;
+//! and on), the simulator's event and calendar-queue shape counters, the
+//! tightness-atlas percentile counters and the E16 survivability sweep's
+//! `resilience/*` work counters — which must be bit-identical on every
+//! machine.  Schema 3 added the `sim/*` and `atlas/*` counters;
 //! with the event count pinned exactly, the normalised gate on the
 //! simulator timing is an events/sec gate.
 //!
@@ -38,13 +39,14 @@ use gmf_bench::atlas::{tightness_atlas, AtlasConfig};
 use gmf_bench::{
     churn_bench_config, long_tail_bench_scenario, median_ns, metro_bench_config,
     mixed_depth_line_scenario, print_header, print_table, run_metro_admission,
-    synthetic_converging_set, CHURN_BENCH_SEED, HOLISTIC_SYNTHETIC_AXIS, HOLISTIC_THREAD_AXIS,
-    METRO_BENCH_SEED, METRO_SMALL_BATCHES, METRO_SMALL_BATCH_SIZE, METRO_TIGHT_FRACTION,
+    run_survivability_sweep, synthetic_converging_set, CHURN_BENCH_SEED, HOLISTIC_SYNTHETIC_AXIS,
+    HOLISTIC_THREAD_AXIS, METRO_BENCH_SEED, METRO_SMALL_BATCHES, METRO_SMALL_BATCH_SIZE,
+    METRO_TIGHT_FRACTION, RESILIENCE_BENCH_SEED, RESILIENCE_DEGRADE_FACTORS,
 };
 use gmf_model::{
     paper_figure3_flow, BitRate, DemandTable, EncapsulationConfig, FlowId, LinkDemand, Time,
 };
-use gmf_workloads::{paper_scenario, run_churn};
+use gmf_workloads::{paper_scenario, resilience_scenario, run_churn, ResilienceConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -274,6 +276,34 @@ fn main() {
             ("metro/batch_flow_analyses", metro.flow_analyses()),
             ("metro/largest_trial", metro.largest_trial()),
             ("metro/final_shards", metro.final_shards),
+        ];
+        for (name, value) in entries {
+            counters.insert(name.to_string(), value as u64);
+        }
+    }
+
+    // B3c — the E16 survivability sweep on the small ring: every single
+    // failure assessed incrementally and cross-checked cold.  The counters
+    // pin the work the warm path does (flows re-verified, per-flow
+    // analyses, rounds) and that it never diverges from the cold oracle.
+    {
+        let ring = resilience_scenario(RESILIENCE_BENCH_SEED, &ResilienceConfig::tiny());
+        let sweep = run_survivability_sweep(
+            "ring-metro",
+            ring.topology,
+            ring.flows,
+            &paper_config,
+            &RESILIENCE_DEGRADE_FACTORS,
+        );
+        let entries = [
+            ("resilience/scenarios", sweep.report.n_scenarios()),
+            ("resilience/reverified", sweep.report.total_reverified()),
+            (
+                "resilience/flow_analyses",
+                sweep.report.total_flow_analyses(),
+            ),
+            ("resilience/rounds", sweep.report.total_rounds()),
+            ("resilience/divergences", sweep.divergences.len()),
         ];
         for (name, value) in entries {
             counters.insert(name.to_string(), value as u64);

@@ -18,8 +18,10 @@
 //! * [`FlowComponents::insert`] adds a flow and unions it with every
 //!   component already using one of its links (*merge on bridge* — a
 //!   route that touches two components fuses them);
-//! * [`FlowComponents::remove`] deletes a flow and rebuilds only its own
-//!   former component, splitting it if the departed flow was the bridge;
+//! * [`FlowComponents::remove_many`] deletes a batch of flows and rebuilds
+//!   each former component they touch once, splitting it where a departed
+//!   flow was the bridge ([`FlowComponents::remove`] is the one-flow
+//!   batch);
 //! * lookups never mutate: the parent table is kept fully flattened
 //!   (every entry points directly at its root), so `&self` queries are a
 //!   single map read.
@@ -158,58 +160,83 @@ impl FlowComponents {
 
     /// Remove a flow and rebuild (only) its former component from the
     /// surviving members' routes in `remaining`, splitting the component
-    /// if the departed flow was its bridge.
-    ///
-    /// `remaining` must be the flow set *after* the departure (it is only
-    /// consulted for the routes of the surviving members).
+    /// if the departed flow was its bridge.  This is
+    /// [`FlowComponents::remove_many`] with one binding.
     ///
     /// # Panics
     ///
     /// Panics if the flow id is not indexed, or if a surviving member of
     /// its component is missing from `remaining`.
     pub fn remove(&mut self, binding: &FlowBinding, remaining: &FlowSet) {
-        let id = binding.id;
-        let root = *self
-            .parent
-            .get(&id)
-            .unwrap_or_else(|| panic!("flow {id} is not indexed"));
-        // Strip the departing flow from its link lists.
-        for hop in binding.route.hops() {
-            if let Some(list) = self.links.get_mut(&(hop.from, hop.to)) {
-                if let Ok(pos) = list.binary_search(&id) {
-                    list.remove(pos);
-                }
-                if list.is_empty() {
-                    self.links.remove(&(hop.from, hop.to));
+        self.remove_many(std::slice::from_ref(binding), remaining);
+    }
+
+    /// Remove several flows at once: strip every departing flow from its
+    /// link lists, dissolve each touched component **once** and re-union
+    /// its survivors once — O(touched components), where removing the
+    /// flows one by one rebuilds a shared component once per departure.
+    /// The resulting components, members and names equal those of the
+    /// sequential removals.
+    ///
+    /// `remaining` must be the flow set *after* every departure (it is
+    /// only consulted for the routes of the surviving members).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a flow id is not indexed (or listed twice), or if a
+    /// surviving member of a touched component is missing from
+    /// `remaining`.
+    pub fn remove_many(&mut self, bindings: &[FlowBinding], remaining: &FlowSet) {
+        let mut roots: Vec<FlowId> = Vec::with_capacity(bindings.len());
+        for binding in bindings {
+            let id = binding.id;
+            let root = self
+                .parent
+                .remove(&id)
+                .unwrap_or_else(|| panic!("flow {id} is not indexed"));
+            roots.push(root);
+            // Strip the departing flow from its link lists.
+            for hop in binding.route.hops() {
+                if let Some(list) = self.links.get_mut(&(hop.from, hop.to)) {
+                    if let Ok(pos) = list.binary_search(&id) {
+                        list.remove(pos);
+                    }
+                    if list.is_empty() {
+                        self.links.remove(&(hop.from, hop.to));
+                    }
                 }
             }
         }
-        // Dissolve the old component…
-        let survivors: Vec<FlowId> = self
-            .members
-            .remove(&root)
-            // tidy-allow: unwrap invariant: parent roots always have a member list
-            .expect("roots have member lists")
-            .into_iter()
-            .filter(|&m| m != id)
-            .collect();
-        self.parent.remove(&id);
-        for &m in &survivors {
-            self.parent.insert(m, m);
-            self.members.insert(m, vec![m]);
-        }
-        // …and re-union the survivors along their (already indexed) links.
-        // Every flow sharing a link with a survivor was in the old
-        // component, so all of them are singletons again here.
-        for &m in &survivors {
-            let route = &remaining
-                .get(m)
-                .unwrap_or_else(|_| panic!("surviving flow {m} missing from the flow set"))
-                .route;
-            for hop in route.hops() {
-                if let Some(list) = self.links.get(&(hop.from, hop.to)) {
-                    if let Some(&other) = list.iter().find(|&&f| f != m) {
-                        self.union(m, other);
+        roots.sort_unstable();
+        roots.dedup();
+        for root in roots {
+            // Dissolve the old component (departed members were already
+            // dropped from `parent`)…
+            let survivors: Vec<FlowId> = self
+                .members
+                .remove(&root)
+                // tidy-allow: unwrap invariant: parent roots always have a member list
+                .expect("roots have member lists")
+                .into_iter()
+                .filter(|m| self.parent.contains_key(m))
+                .collect();
+            for &m in &survivors {
+                self.parent.insert(m, m);
+                self.members.insert(m, vec![m]);
+            }
+            // …and re-union the survivors along their (already indexed)
+            // links.  Every flow sharing a link with a survivor was in the
+            // old component, so all of them are singletons again here.
+            for &m in &survivors {
+                let route = &remaining
+                    .get(m)
+                    .unwrap_or_else(|_| panic!("surviving flow {m} missing from the flow set"))
+                    .route;
+                for hop in route.hops() {
+                    if let Some(list) = self.links.get(&(hop.from, hop.to)) {
+                        if let Some(&other) = list.iter().find(|&&f| f != m) {
+                            self.union(m, other);
+                        }
                     }
                 }
             }

@@ -15,7 +15,9 @@
 //! (b) an accepted bridge merges every shard its route touches
 //!     (merge-on-bridge), a rejection leaves the partition untouched, and
 //!     a departure splits the shard back — always agreeing with a
-//!     from-scratch [`DependencyGraph`] rebuild.
+//!     from-scratch [`DependencyGraph`] rebuild;
+//! (c) removing a batch of flows from the partition at once equals
+//!     removing them one by one.
 
 mod support;
 
@@ -103,6 +105,62 @@ proptest! {
                 prop_assert_eq!(reference.schedulable, reanalyzed.schedulable);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// (c) Batched partition removal equals removing the same flows one by
+    /// one, in shards, members and shard ids — over random subsets of
+    /// random sweep sets and of E16 rings, departing in random order.
+    #[test]
+    fn batched_partition_removal_matches_sequential_removal(
+        seed in 0u64..1_000_000,
+        percent in 1u32..=100,
+        ring in 0usize..2,
+    ) {
+        use gmfnet::workloads::{resilience_scenario, ResilienceConfig};
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+
+        let flows = if ring == 1 {
+            resilience_scenario(seed, &ResilienceConfig::default()).flows
+        } else {
+            sweep_set(seed, 16, 0.6).1
+        };
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut departing: Vec<_> = flows
+            .bindings()
+            .iter()
+            .filter(|_| rng.gen_range(0..100u32) < percent)
+            .cloned()
+            .collect();
+        departing.shuffle(&mut rng);
+        let mut remaining = flows.clone();
+        for binding in &departing {
+            remaining.remove(binding.id).unwrap();
+        }
+
+        let mut batched = DependencyGraph::new(&flows);
+        batched.remove_many(&departing, &remaining);
+        let mut sequential = DependencyGraph::new(&flows);
+        let mut step = flows.clone();
+        for binding in &departing {
+            step.remove(binding.id).unwrap();
+            sequential.remove(binding, &step);
+        }
+
+        prop_assert_eq!(batched.len(), remaining.len());
+        prop_assert_eq!(batched.shards(), sequential.shards());
+        for shard in batched.shards() {
+            prop_assert_eq!(batched.shard_flows(shard), sequential.shard_flows(shard));
+        }
+        for id in flows.ids() {
+            prop_assert_eq!(batched.shard_of(id), sequential.shard_of(id));
+        }
+        // Both are the partition of what remains.
+        prop_assert_eq!(batched.shards(), DependencyGraph::new(&remaining).shards());
     }
 }
 
