@@ -423,21 +423,14 @@ impl AdmissionController {
                 (shard, accepted.subset(members.iter().copied()))
             })
             .collect();
-        // Shards verify concurrently; the per-shard engine then runs
-        // single-threaded (reports are thread-count invariant, so this
-        // only shapes performance, never results).
-        let inner = if config.threads > 1 && shard_sets.len() > 1 {
-            config.with_threads(1)
-        } else {
-            config
-        };
+        // Shards are independent, so they verify concurrently.
         let runs = par_map_weighted(
             Threads::new(config.threads),
             &shard_sets,
             |(_, set)| u64::try_from(set.len()).unwrap_or(u64::MAX),
             |_, (shard, set)| -> Result<(DenseRun, WarmCache), AnalysisError> {
                 let ctx = AnalysisContext::new(&topology, set)?;
-                let mut run = iterate(&ctx, &inner)?;
+                let mut run = iterate(&ctx, &config)?;
                 if run.report.schedulable {
                     let mut warm = WarmCache::new();
                     if let Some(x) = &run.jitters {
@@ -627,21 +620,14 @@ impl AdmissionController {
         // `groups` is keyed by the union-find root, which is each lane's
         // smallest index — so `lanes` is already ordered by first request.
 
-        // Lanes run concurrently; inside a lane the engine then runs
-        // single-threaded (its reports are thread-count invariant, so
-        // this only shapes performance, never results).
-        let inner = if self.config.threads > 1 && lanes.len() > 1 {
-            self.config.with_threads(1)
-        } else {
-            self.config
-        };
+        // Lanes are independent, so they run concurrently.
         let outputs: Vec<LaneOutput> = {
             let ctl: &AdmissionController = &*self;
             par_map_weighted(
                 Threads::new(ctl.config.threads),
                 &lanes,
                 |lane| u64::try_from(lane.members.len() + lane.indices.len()).unwrap_or(u64::MAX),
-                |_, lane| ctl.run_lane(lane, &bindings, &inner),
+                |_, lane| ctl.run_lane(lane, &bindings),
             )
         };
 
@@ -702,12 +688,8 @@ impl AdmissionController {
     /// Process one lane: its requests in submission order, against a
     /// lane-local accepted subset, partition and warm-cache slice that
     /// roll forward across the lane's acceptances.
-    fn run_lane(
-        &self,
-        lane: &LaneInput,
-        bindings: &[FlowBinding],
-        config: &AnalysisConfig,
-    ) -> LaneOutput {
+    fn run_lane(&self, lane: &LaneInput, bindings: &[FlowBinding]) -> LaneOutput {
+        let config = &self.config;
         let mut lane_set = self.accepted.subset(lane.members.iter().copied());
         let mut lane_partition = DependencyGraph::new(&lane_set);
         // Seed the lane's warm state once from the shared cache (one entry
@@ -1051,7 +1033,7 @@ impl AdmissionController {
     /// Re-run the analysis of the currently accepted set (e.g. after the
     /// operator changed the analysis configuration).
     pub fn reanalyze(&self) -> Result<AnalysisReport, AnalysisError> {
-        crate::holistic::analyze(&self.topology, &self.accepted, &self.config)
+        crate::fixed_point::analyze(&self.topology, &self.accepted, &self.config)
     }
 }
 

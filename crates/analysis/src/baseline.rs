@@ -20,7 +20,7 @@
 use crate::config::AnalysisConfig;
 use crate::context::AnalysisContext;
 use crate::error::AnalysisError;
-use crate::holistic::analyze;
+use crate::fixed_point::analyze;
 use crate::report::AnalysisReport;
 use gmf_net::{FlowSet, NodeId, Topology};
 use serde::{Deserialize, Serialize};

@@ -51,10 +51,12 @@ pub struct AnalysisConfig {
     /// inside the interference window and charge one `MFT` blocking per
     /// own Ethernet frame; the bound is strictly more conservative.
     pub refine_egress_own_frames: bool,
-    /// Worker threads for the per-flow analyses within one holistic round
-    /// (the flows of a round are independent).  `1` (the default) runs
-    /// inline on the caller's thread; any value produces byte-identical
-    /// reports.
+    /// Worker threads for independent units of work: the admission
+    /// controller's request lanes and its shard-by-shard preload
+    /// verification.  A single holistic analysis always runs on the
+    /// caller's thread and never reads this field.  `1` (the default)
+    /// spawns no threads; any value produces byte-identical reports and
+    /// decisions.
     pub threads: usize,
     /// Skip re-analysing a flow in a holistic round when every jitter slot
     /// its analysis reads is *exactly* unchanged from the round that
@@ -116,8 +118,8 @@ impl AnalysisConfig {
         self
     }
 
-    /// Override the worker-thread count of the holistic engine (`0` is
-    /// treated as 1).
+    /// Override the worker-thread count for admission lanes and shard
+    /// preloads (`0` is treated as 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self

@@ -217,33 +217,6 @@ impl JitterMap {
         self.values.iter()
     }
 
-    /// Drop every entry of `flow` (a departure: the flow no longer exists,
-    /// so its jitters must not seed future warm starts).  A `BTreeMap`
-    /// range scan — `(flow, ·)` keys are contiguous, so the cost is the
-    /// flow's own entry count, not the map size (the admission plane calls
-    /// this per touched flow against a network-wide cache).
-    pub fn remove_flow(&mut self, flow: FlowId) {
-        let lo = (
-            flow,
-            ResourceId::Link {
-                from: NodeId(0),
-                to: NodeId(0),
-            },
-        );
-        let hi = (
-            FlowId(flow.0 + 1),
-            ResourceId::Link {
-                from: NodeId(0),
-                to: NodeId(0),
-            },
-        );
-        let keys: Vec<(FlowId, ResourceId)> =
-            self.values.range(lo..hi).map(|(&key, _)| key).collect();
-        for key in keys {
-            self.values.remove(&key);
-        }
-    }
-
     /// Insert a whole per-(flow, resource) frame vector, replacing any
     /// stored entry.  This is the dense engine's boundary exit
     /// (`DenseJitters::to_keyed`).
@@ -260,8 +233,8 @@ impl JitterMap {
 /// compiles every flow's per-hop demands and tables, interns flows and
 /// their `(flow, resource)` pairs into dense indices and precomputes every
 /// flow's per-stage
-/// interference tables (see [`crate::dense`]) — the engine's hot loops
-/// never touch a tree map or rescan the flow set.
+/// interference tables (the crate-private `dense` plan) — the engine's hot
+/// loops never touch a tree map or rescan the flow set.
 #[derive(Debug, Clone)]
 pub struct AnalysisContext<'a> {
     topology: &'a Topology,
@@ -572,33 +545,6 @@ mod tests {
         map4.set(FlowId(1), resource, 0, Time::ZERO, 1);
         assert!(map.approx_eq(&map4));
         assert!(map.iter().count() >= 2);
-    }
-
-    #[test]
-    fn remove_and_reseed_flow_entries() {
-        let (_, fs, n) = setup();
-        let mut map = JitterMap::initial(&fs);
-        let resource = ResourceId::SwitchIngress { node: n[2] };
-        map.set(FlowId(0), resource, 1, Time::from_millis(2.0), 9);
-
-        // Removing a flow drops all of its entries and nothing else.
-        let mut pruned = map.clone();
-        pruned.remove_flow(FlowId(0));
-        assert_eq!(pruned.get(FlowId(0), resource, 1), Time::ZERO);
-        assert!(pruned.iter().all(|(&(f, _), _)| f != FlowId(0)));
-        assert!(pruned.iter().any(|(&(f, _), _)| f == FlowId(1)));
-
-        // Re-seeding one flow's initial entries matches the full initial
-        // map restricted to that flow.
-        let fresh = JitterMap::initial(&fs);
-        let mut reseeded = JitterMap::default();
-        reseeded.set_initial(fs.get(FlowId(1)).unwrap());
-        for (&(flow, resource), values) in reseeded.iter() {
-            assert_eq!(flow, FlowId(1));
-            for (frame, &value) in values.iter().enumerate() {
-                assert_eq!(value, fresh.get(flow, resource, frame));
-            }
-        }
     }
 
     #[test]

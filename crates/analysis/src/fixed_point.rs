@@ -1,13 +1,24 @@
-//! The holistic fixed-point engine: parallel Jacobi rounds of plain Picard
-//! iteration, plus warm starts and dependency-scoped re-verification.
+//! Holistic (jitter fixed-point) analysis of a whole flow set — the paper's
+//! Section "Putting it all together" — and the engine that iterates it.
 //!
-//! The holistic analysis ([`crate::holistic`]) resolves the circular
-//! dependency between response times and generalized jitters by iterating
-//! the map `G : JitterMap → JitterMap` that analyses every flow against the
-//! previous round's jitters and records the jitters the frames accumulate.
-//! This module owns that iteration, which is the paper's Picard scheme
-//! `x_{k+1} = G(x_k)` from the initial map (source jitter on first links,
-//! zero elsewhere) until `G(x) ≈ x`.
+//! The per-resource analyses need the generalized jitter of every
+//! *interfering* flow at every resource, but those jitters are themselves
+//! response times computed by the same analysis.  Following Tindell &
+//! Clark's holistic approach, the paper resolves the circularity by
+//! iteration:
+//!
+//! 1. assume the specified jitter at every flow's source and zero jitter at
+//!    every downstream resource;
+//! 2. analyse every frame of every flow with the Figure 6 pipeline,
+//!    recording the jitter each frame accumulates at each resource;
+//! 3. if the recorded jitters differ from the assumed ones, repeat with the
+//!    new values.
+//!
+//! That is the Picard scheme `x_{k+1} = G(x_k)` for the map
+//! `G : JitterMap → JitterMap` that analyses every flow against the
+//! previous round's jitters, run until `G(x) ≈ x`.  [`analyze`] is the
+//! public entry point; it reports overload and horizon excess as an
+//! unschedulable flow set, not as an error.
 //!
 //! **Why plain Picard is enough.**  Interfering jitters enter the
 //! response-time equations only through the staircase request-bound
@@ -23,15 +34,15 @@
 //! time, so the engine runs Picard only (DESIGN.md §4.1).  The
 //! [`ConvergenceTrace`] records each round's residual.
 //!
-//! **Parallel Jacobi rounds.**  Within one round every flow is analysed
-//! against the *same* immutable previous-round map, so the per-flow
-//! analyses are embarrassingly parallel.  [`evaluate_round`] maps them over
-//! a [`gmf_par::par_map`] fork-join pool; results come back in flow-index
-//! order, the next map is folded sequentially in that order, and error
-//! precedence scans in that order too — the output is byte-identical to
-//! the sequential loop at any thread count.  A flow whose input slots are
-//! exactly unchanged since its last analysis is not re-analysed at all
-//! (`AnalysisConfig::skip_unchanged_flows`); its cached report is reused.
+//! **One thread per run.**  Within one round every flow is analysed
+//! against the *same* immutable previous-round map (Jacobi-style), in
+//! flow-index order on the caller's thread with one kernel scratch arena
+//! for the whole run.  A round is far too short to pay for a fork-join, so
+//! parallelism lives one level up, where the units are independent:
+//! admission lanes, shard preloads and sweep points.  A flow whose input
+//! slots are exactly unchanged since its last analysis is not re-analysed
+//! at all (`AnalysisConfig::skip_unchanged_flows`); its cached report is
+//! reused.
 //!
 //! **Warm starts and incremental re-verification.**  [`iterate_from`]
 //! seeds the iteration with an arbitrary [`JitterMap`] instead of the
@@ -42,12 +53,13 @@
 //! [`crate::deps::affected_flows`] computes which flows a candidate can
 //! influence at all — everything unreachable from it in the dependency
 //! graph keeps its cached converged [`FlowReport`] verbatim and is never
-//! re-analysed ([`Scope`]).  [`crate::admission::AdmissionController`]
-//! combines both into its incremental admission engine, with a cold
-//! restart whenever the dependency graph is cyclic or a warm run fails to
-//! converge.  Internally every run starts from and ends in the dense
-//! jitter arena ([`run`]); only the public [`iterate_from`] converts from
-//! and to the keyed [`JitterMap`].
+//! re-analysed (the crate-private `Scope`).
+//! [`crate::admission::AdmissionController`] combines both into its
+//! incremental admission engine, with a cold restart whenever the
+//! dependency graph is cyclic or a warm run fails to converge.
+//! Internally every run starts from and ends in the dense jitter arena;
+//! only the public [`iterate_from`] converts from and to the keyed
+//! [`JitterMap`].
 
 use crate::config::AnalysisConfig;
 use crate::context::{AnalysisContext, JitterMap};
@@ -55,9 +67,9 @@ use crate::dense::DenseJitters;
 use crate::error::AnalysisError;
 use crate::kernel::KernelScratch;
 use crate::pipeline::analyze_flow_dense;
-use crate::report::{AnalysisReport, FlowReport, FrameBound};
+use crate::report::{AnalysisReport, FlowReport};
 use gmf_model::Time;
-use gmf_par::{par_map_interleaved_with, Threads};
+use gmf_net::{FlowSet, Topology};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -156,7 +168,7 @@ struct FlowCache {
 }
 
 /// How [`evaluate_round`] treats each flow of the context.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum FlowRole {
     /// Outside the scope: frozen report, jitters copied through.
     Inactive,
@@ -169,20 +181,17 @@ enum FlowRole {
 }
 
 /// Evaluate `G` at `jitters`: analyse every *dirty* flow of the context's
-/// flow set against the given arena, in parallel over `threads` workers,
-/// and fold the assignments (fresh or cached) into the next round's arena.
-/// Returns the outcome and the number of per-flow analyses actually
-/// performed.
+/// flow set against the given arena, in flow-index order, and fold the
+/// assignments (fresh or cached) into the next round's arena.  Returns the
+/// outcome and the number of per-flow analyses actually performed.
 ///
-/// Flows are analysed in flow-index order semantics: results are collected
-/// in that order, the next map is folded in that order, and the first
-/// erroring flow in that order decides the outcome — so the result is
-/// byte-identical to the sequential loop at any thread count.  Skipping is
-/// equally invisible: a skipped flow's inputs are *exactly* equal to those
-/// of its cached analysis, so re-analysing it would reproduce the cached
-/// report and assignments bit for bit — and a skipped flow can never be
-/// the round's first error, because its cached analysis succeeded on the
-/// same inputs.
+/// The first erroring flow in flow order decides the outcome, and the scan
+/// stops there without analysing the rest of the round (rejecting
+/// admission trials hit this every call).  Skipping is invisible: a
+/// skipped flow's inputs are *exactly* equal to those of its cached
+/// analysis, so re-analysing it would reproduce the cached report and
+/// assignments bit for bit — and a skipped flow can never be the round's
+/// first error, because its cached analysis succeeded on the same inputs.
 fn evaluate_round(
     ctx: &AnalysisContext<'_>,
     jitters: &DenseJitters,
@@ -190,6 +199,7 @@ fn evaluate_round(
     scope: Option<&Scope<'_>>,
     cache: &mut [Option<FlowCache>],
     last_input: Option<&DenseJitters>,
+    scratch: &mut KernelScratch,
 ) -> Result<(RoundOutcome, usize), AnalysisError> {
     let plan = ctx.plan();
     let bindings = ctx.flows().bindings();
@@ -210,33 +220,6 @@ fn evaluate_round(
             }
         })
         .collect();
-    let dirty: Vec<usize> = (0..bindings.len())
-        .filter(|&index| roles[index] == FlowRole::Dirty)
-        .collect();
-    let threads = Threads::new(config.threads);
-
-    // With one worker the results come from a lazy iterator, so the scan
-    // below short-circuits on the first erroring flow without analysing the
-    // rest of the round (rejecting admission trials hit this every call);
-    // with several workers everything is evaluated eagerly up front.  Error
-    // precedence is first-in-flow-order either way, so the outcome is
-    // byte-identical at any thread count.
-    type FlowResult = Result<(Vec<FrameBound>, Vec<Vec<Time>>), AnalysisError>;
-    let mut results: Box<dyn Iterator<Item = FlowResult> + '_> = if threads.get() == 1 {
-        let mut scratch = KernelScratch::default();
-        Box::new(
-            dirty
-                .iter()
-                .map(move |&index| analyze_flow_dense(ctx, jitters, config, index, &mut scratch)),
-        )
-    } else {
-        Box::new(
-            par_map_interleaved_with(threads, &dirty, KernelScratch::default, {
-                |scratch, _, &index| analyze_flow_dense(ctx, jitters, config, index, scratch)
-            })
-            .into_iter(),
-        )
-    };
 
     let mut analyzed = 0usize;
     let mut reports: Vec<Arc<FlowReport>> = Vec::with_capacity(bindings.len());
@@ -257,10 +240,8 @@ fn evaluate_round(
                 reports.push(Arc::clone(&cached.report));
             }
             FlowRole::Dirty => {
-                // tidy-allow: unwrap invariant: one result per dirty flow
-                let result = results.next().expect("one result per dirty flow");
                 analyzed += 1;
-                match result {
+                match analyze_flow_dense(ctx, jitters, config, index, scratch) {
                     Ok((bounds, assignments)) => {
                         let report = Arc::new(FlowReport {
                             flow: binding.id,
@@ -287,7 +268,6 @@ fn evaluate_round(
             }
         }
     }
-    drop(results);
 
     let mut next = DenseJitters::initial(plan, ctx.flows());
     for (index, role) in roles.iter().enumerate() {
@@ -324,7 +304,7 @@ fn evaluate_round(
 /// converged jitter map (for warm-start caching) and the run's cost.
 #[derive(Debug, Clone)]
 pub struct FixedPointRun {
-    /// The analysis report (what [`crate::holistic::analyze`] returns).
+    /// The analysis report (what [`analyze`] returns).
     pub report: AnalysisReport,
     /// The converged jitter iterate `x*` — present iff the run converged.
     /// The report's bounds are exactly the evaluation `G(x*)`, so seeding a
@@ -347,12 +327,38 @@ pub(crate) struct DenseRun {
     pub flow_analyses: usize,
 }
 
+/// Run the holistic analysis of `flows` on `topology`.
+///
+/// Returns a report for *every* outcome that is a property of the flow set
+/// (schedulable, unschedulable because of overload, non-convergence);
+/// returns an error only for structural problems such as a route that does
+/// not match the topology.
+pub fn analyze(
+    topology: &Topology,
+    flows: &FlowSet,
+    config: &AnalysisConfig,
+) -> Result<AnalysisReport, AnalysisError> {
+    let ctx = AnalysisContext::new(topology, flows)?;
+
+    if flows.is_empty() {
+        return Ok(AnalysisReport {
+            flows: Vec::new(),
+            converged: true,
+            iterations: 0,
+            schedulable: true,
+            failure: None,
+            trace: ConvergenceTrace::default(),
+        });
+    }
+
+    iterate(&ctx, config).map(|run| run.report)
+}
+
 /// Run the holistic jitter iteration from the paper's initial map (source
 /// jitter on first links, zero elsewhere).
 ///
-/// This is the engine behind [`crate::holistic::analyze`]; analysis
-/// callers should use that entry point.  `ctx` must wrap a non-empty flow
-/// set.
+/// This is the engine behind [`analyze`]; analysis callers should use that
+/// entry point.  `ctx` must wrap a non-empty flow set.
 pub(crate) fn iterate(
     ctx: &AnalysisContext<'_>,
     config: &AnalysisConfig,
@@ -419,10 +425,18 @@ pub(crate) fn run(
     // the memo entries were computed against).
     let mut cache: Vec<Option<FlowCache>> = (0..plan.flows.len()).map(|_| None).collect();
     let mut last_input: Option<DenseJitters> = None;
+    let mut scratch = KernelScratch::default();
 
     for iteration in 1..=config.max_holistic_iterations {
-        let (outcome, analyzed) =
-            evaluate_round(ctx, &x, config, scope, &mut cache, last_input.as_ref())?;
+        let (outcome, analyzed) = evaluate_round(
+            ctx,
+            &x,
+            config,
+            scope,
+            &mut cache,
+            last_input.as_ref(),
+            &mut scratch,
+        )?;
         flow_analyses += analyzed;
         // After a completed round every cache entry is valid against the
         // arena it just read: refreshed entries were computed at `x`, kept
@@ -522,9 +536,9 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::holistic::analyze;
-    use gmf_model::{paper_figure3_flow, voip_flow, Time, VoiceCodec};
-    use gmf_net::{paper_figure1, shortest_path, FlowSet, Priority};
+    use crate::pipeline::analyze_flow;
+    use gmf_model::{cbr_flow, paper_figure3_flow, voip_flow, FlowId, VoiceCodec};
+    use gmf_net::{paper_figure1, shortest_path, Priority};
 
     fn paper_like_flows() -> (gmf_net::Topology, FlowSet) {
         let (t, net) = paper_figure1();
@@ -603,7 +617,6 @@ mod tests {
 
     #[test]
     fn aborted_round_is_traced() {
-        use gmf_model::cbr_flow;
         // Three flows that each need ~45% of the 10 Mbit/s access link:
         // the round aborts with an overload error instead of folding a
         // next jitter map, but still counts as a traced iteration.
@@ -626,8 +639,164 @@ mod tests {
         assert!(report.failure.as_ref().unwrap().contains("overloaded"));
         assert_eq!(report.trace.len(), report.iterations);
         assert_eq!(report.iterations, 1);
-        // Parallel rounds abort identically.
+        // The thread count is invisible: the round aborts identically.
         let parallel = analyze(&t, &fs, &AnalysisConfig::paper().with_threads(4)).unwrap();
         assert_eq!(report, parallel);
+    }
+
+    /// The paper scenario: Figure 3 video from host 0 to host 3, a voice
+    /// call from host 1 to host 3, and a voice call from host 2 to host 0
+    /// (crossing the backbone in the other direction).
+    fn paper_scenario() -> (Topology, FlowSet) {
+        let (t, net) = paper_figure1();
+        let mut fs = FlowSet::new();
+        let video = paper_figure3_flow("video", Time::from_millis(150.0), Time::from_millis(1.0));
+        fs.add(
+            video,
+            shortest_path(&t, net.hosts[0], net.hosts[3]).unwrap(),
+            Priority(5),
+        );
+        let voice1 = voip_flow(
+            "voice-1-3",
+            VoiceCodec::G711,
+            Time::from_millis(20.0),
+            Time::from_millis(0.5),
+        );
+        fs.add(
+            voice1,
+            shortest_path(&t, net.hosts[1], net.hosts[3]).unwrap(),
+            Priority(7),
+        );
+        let voice2 = voip_flow(
+            "voice-2-0",
+            VoiceCodec::G711,
+            Time::from_millis(20.0),
+            Time::from_millis(0.5),
+        );
+        fs.add(
+            voice2,
+            shortest_path(&t, net.hosts[2], net.hosts[0]).unwrap(),
+            Priority(7),
+        );
+        (t, fs)
+    }
+
+    #[test]
+    fn empty_flow_set_is_trivially_schedulable() {
+        let (t, _) = paper_figure1();
+        let report = analyze(&t, &FlowSet::new(), &AnalysisConfig::paper()).unwrap();
+        assert!(report.schedulable);
+        assert!(report.converged);
+        assert_eq!(report.iterations, 0);
+        assert_eq!(report.n_frame_bounds(), 0);
+    }
+
+    #[test]
+    fn paper_scenario_is_schedulable_and_converges() {
+        let (t, fs) = paper_scenario();
+        let report = analyze(&t, &fs, &AnalysisConfig::paper()).unwrap();
+        assert!(report.converged, "holistic iteration must converge");
+        assert!(report.schedulable, "report: {report}");
+        assert!(
+            report.iterations >= 2,
+            "jitter propagation needs at least two rounds"
+        );
+        assert_eq!(report.flows.len(), 3);
+        assert_eq!(report.n_frame_bounds(), 9 + 1 + 1);
+        // The video flow's worst frame is the I+P frame.
+        let video = report.flow(FlowId(0)).unwrap();
+        assert_eq!(video.worst_bound().unwrap(), video.frames[0].bound);
+        // Voice keeps single-digit-millisecond bounds across three hops.
+        let voice = report.flow(FlowId(1)).unwrap();
+        assert!(voice.worst_bound().unwrap() < Time::from_millis(10.0));
+    }
+
+    #[test]
+    fn holistic_bounds_dominate_first_round_bounds() {
+        // Jitter propagation can only increase bounds, so the converged
+        // bounds must dominate a single-round analysis with source jitters
+        // only.
+        let (t, fs) = paper_scenario();
+        let ctx = AnalysisContext::new(&t, &fs).unwrap();
+        let config = AnalysisConfig::paper();
+        let first_round = JitterMap::initial(&fs);
+        let report = analyze(&t, &fs, &config).unwrap();
+        for binding in fs.bindings() {
+            let (round1, _) = analyze_flow(&ctx, &first_round, &config, binding.id).unwrap();
+            let converged = &report.flow(binding.id).unwrap().frames;
+            for (a, b) in round1.iter().zip(converged) {
+                assert!(
+                    b.bound + Time::from_nanos(1.0) >= a.bound,
+                    "converged bound {} must dominate first-round bound {}",
+                    b.bound,
+                    a.bound
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tight_deadlines_are_reported_as_missed() {
+        let (t, net) = paper_figure1();
+        let mut fs = FlowSet::new();
+        // A video flow whose 5 ms deadline cannot be met across two
+        // 10 Mbit/s access links (a single I+P frame takes ~36 ms to
+        // serialise on each).
+        let video = paper_figure3_flow("video", Time::from_millis(5.0), Time::from_millis(1.0));
+        fs.add(
+            video,
+            shortest_path(&t, net.hosts[0], net.hosts[3]).unwrap(),
+            Priority(7),
+        );
+        let report = analyze(&t, &fs, &AnalysisConfig::paper()).unwrap();
+        assert!(report.converged);
+        assert!(!report.schedulable);
+        assert!(report.failure.as_ref().unwrap().contains("video"));
+    }
+
+    #[test]
+    fn overload_reports_unschedulable_not_error() {
+        let (t, net) = paper_figure1();
+        let mut fs = FlowSet::new();
+        let route = shortest_path(&t, net.hosts[0], net.hosts[3]).unwrap();
+        // Three flows that each need ~45% of the 10 Mbit/s access link.
+        for i in 0..3 {
+            let f = cbr_flow(
+                &format!("bulk{i}"),
+                55_000,
+                Time::from_millis(100.0),
+                Time::from_millis(400.0),
+                Time::from_millis(1.0),
+            );
+            fs.add(f, route.clone(), Priority(4));
+        }
+        let report = analyze(&t, &fs, &AnalysisConfig::paper()).unwrap();
+        assert!(!report.schedulable);
+        assert!(report.failure.as_ref().unwrap().contains("overloaded"));
+    }
+
+    #[test]
+    fn conservative_configuration_dominates_paper_configuration() {
+        let (t, fs) = paper_scenario();
+        let paper = analyze(&t, &fs, &AnalysisConfig::paper()).unwrap();
+        let conservative = analyze(&t, &fs, &AnalysisConfig::conservative()).unwrap();
+        assert!(paper.converged && conservative.converged);
+        for binding in fs.bindings() {
+            let a = paper.flow(binding.id).unwrap().worst_bound().unwrap();
+            let b = conservative
+                .flow(binding.id)
+                .unwrap()
+                .worst_bound()
+                .unwrap();
+            assert!(b + Time::from_nanos(1.0) >= a);
+        }
+    }
+
+    #[test]
+    fn analysis_is_deterministic() {
+        let (t, fs) = paper_scenario();
+        let r1 = analyze(&t, &fs, &AnalysisConfig::paper()).unwrap();
+        let r2 = analyze(&t, &fs, &AnalysisConfig::paper()).unwrap();
+        assert_eq!(r1, r2);
     }
 }

@@ -22,10 +22,9 @@
 //! their fold at zero), the solvers pass [`Time::ZERO`], which is exact:
 //! `0.0 + x == x` for every finite IEEE 754 `x ≥ 0`.
 //!
-//! All scratch storage lives in a [`KernelScratch`] arena owned by the
-//! analysis worker (one per thread, pooled by
-//! [`gmf_par::par_map_interleaved_with`]) and reset per flow, so the
-//! per-frame path performs no heap allocation at all.
+//! All scratch storage lives in one [`KernelScratch`] arena owned by the
+//! fixed-point run and reset per flow, so the per-frame path performs no
+//! heap allocation at all.
 
 use crate::busy_period::FixedPointOutcome;
 use crate::dense::{DenseJitters, TermSpec};
@@ -47,11 +46,10 @@ pub(crate) struct Term {
 /// terms and the `w(q)` instance tables of every stage of the flow under
 /// analysis.
 ///
-/// One arena lives on each analysis worker for the lifetime of a round
-/// (pooled per thread, never shared), is [`reset`](KernelScratch::reset)
-/// at the start of every flow, and only ever grows to the high-water mark
-/// of a single flow's stages — after warm-up the per-frame path allocates
-/// nothing.  Stage states address it through plain `Range<usize>` handles,
+/// One arena lives for the whole fixed-point run (every round, every
+/// flow), is [`reset`](KernelScratch::reset) at the start of every flow,
+/// and only ever grows to the high-water mark of a single flow's stages —
+/// after warm-up the per-frame path allocates nothing.  Stage states address it through plain `Range<usize>` handles,
 /// which keeps the stages `Vec`-free and the borrows disjoint.
 #[derive(Debug, Default)]
 pub(crate) struct KernelScratch {

@@ -20,14 +20,15 @@
 //! * [`egress::egress_response`] — the prioritized output queue, the send
 //!   task and the link (eqs. 28–35);
 //! * [`pipeline::analyze_frame`] — the end-to-end composition of Figure 6;
-//! * [`holistic::analyze`] — the holistic jitter fixed-point over the whole
-//!   flow set, yielding an [`AnalysisReport`]; the iteration is the
-//!   paper's plain Picard scheme in parallel Jacobi rounds
+//! * [`analyze`] — the holistic jitter fixed point over the whole flow
+//!   set, yielding an [`AnalysisReport`]; the iteration is the paper's
+//!   plain Picard scheme in Jacobi rounds, one thread per run
 //!   ([`fixed_point`]);
 //! * [`admission::AdmissionController`] — the admission controller built on
 //!   top of it, with one decision path: shard-scoped trials warm-started
 //!   from the last converged jitters, byte-identical to a cold analysis of
-//!   the trial set;
+//!   the trial set; independent lanes and shard preloads are where the
+//!   crate runs in parallel;
 //! * [`resilience::SurvivabilityAnalysis`] — the single-failure
 //!   survivability sweep built on the warm admission plane;
 //! * [`baseline`] — the sporadic-collapse and utilization-only baselines
@@ -68,7 +69,6 @@ pub mod egress;
 pub mod error;
 pub mod first_hop;
 pub mod fixed_point;
-pub mod holistic;
 pub(crate) mod index;
 pub mod ingress;
 pub(crate) mod kernel;
@@ -85,15 +85,13 @@ pub use admission::{
 pub use baseline::{
     analyze_sporadic_baseline, sporadic_collapse, utilization_check, UtilizationCheck,
 };
-pub use busy_period::{fixed_point, FixedPointOutcome};
 pub use config::AnalysisConfig;
 pub use context::{AnalysisContext, JitterMap, ResourceId};
 pub use deps::{DependencyGraph, ShardId};
 pub use egress::egress_response;
 pub use error::{AnalysisError, StageKind};
 pub use first_hop::first_hop_response;
-pub use fixed_point::{iterate_from, ConvergenceTrace, FixedPointRun, RoundTrace};
-pub use holistic::analyze;
+pub use fixed_point::{analyze, iterate_from, ConvergenceTrace, FixedPointRun, RoundTrace};
 pub use ingress::ingress_response;
 pub use pipeline::{analyze_flow, analyze_frame, hop_sum_matches, JitterAssignments};
 pub use reference::analyze_reference;
@@ -113,8 +111,7 @@ pub mod prelude {
     pub use crate::config::AnalysisConfig;
     pub use crate::context::{AnalysisContext, JitterMap, ResourceId};
     pub use crate::deps::{DependencyGraph, ShardId};
-    pub use crate::fixed_point::ConvergenceTrace;
-    pub use crate::holistic::analyze;
+    pub use crate::fixed_point::{analyze, ConvergenceTrace};
     pub use crate::pipeline::{analyze_flow, analyze_frame};
     pub use crate::report::{AnalysisReport, FlowReport, FrameBound, HopBound};
     pub use crate::resilience::{

@@ -18,7 +18,7 @@
 //! ```
 //!
 //! The jitter assignments made on the way are returned so the holistic
-//! iteration ([`crate::holistic`]) can feed them into the next round.
+//! iteration ([`crate::fixed_point`]) can feed them into the next round.
 //!
 //! One extension over Figure 6: a route with no intermediate switch (source
 //! directly cabled to the destination) still gets its first hop analysed;

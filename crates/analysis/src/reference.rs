@@ -29,7 +29,7 @@ use gmf_net::{FlowSet, Topology};
 /// Picard; `config.threads` and `config.skip_unchanged_flows` are
 /// deliberately ignored).
 ///
-/// Returns exactly what [`crate::holistic::analyze`] returns for a Picard
+/// Returns exactly what [`crate::fixed_point::analyze`] returns for a Picard
 /// run — including the iteration count, the per-round residual trace and
 /// the failure attribution.
 pub fn analyze_reference(
@@ -144,7 +144,7 @@ pub fn analyze_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::holistic::analyze;
+    use crate::fixed_point::analyze;
     use gmf_model::{paper_figure3_flow, voip_flow, VoiceCodec};
     use gmf_net::{paper_figure1, shortest_path, Priority};
 

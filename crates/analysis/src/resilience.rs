@@ -31,7 +31,7 @@
 //!
 //! # Why incremental equals cold
 //!
-//! The verdict must be byte-identical to a cold [`crate::holistic::analyze`]
+//! The verdict must be byte-identical to a cold [`crate::fixed_point::analyze`]
 //! of the re-routed survivor set.  Two established properties carry the
 //! argument:
 //!
@@ -272,13 +272,6 @@ impl SurvivabilityAnalysis {
         Ok((SurvivabilityAnalysis { controller }, stats))
     }
 
-    /// Wrap an existing controller (it should be warm and preloaded: a
-    /// cold or cache-less controller still yields correct verdicts, only
-    /// slower and without incremental margins).
-    pub fn from_controller(controller: AdmissionController) -> Self {
-        SurvivabilityAnalysis { controller }
-    }
-
     /// The pristine baseline controller.
     pub fn controller(&self) -> &AdmissionController {
         &self.controller
@@ -461,7 +454,8 @@ impl SurvivabilityAnalysis {
                 gmf_net::RerouteOutcome::Stranded { id, .. } => stranded.push(id),
             }
         }
-        let report = crate::holistic::analyze(survivor.topology(), &set, self.controller.config())?;
+        let report =
+            crate::fixed_point::analyze(survivor.topology(), &set, self.controller.config())?;
         let mut bounds = BTreeMap::new();
         let mut margin = None;
         if report.schedulable {

@@ -6,8 +6,8 @@
 // Test code may unwrap freely; the workspace lint targets library code.
 #![allow(clippy::unwrap_used)]
 
+use gmf_analysis::busy_period::{fixed_point, FixedPointOutcome};
 use gmf_analysis::prelude::*;
-use gmf_analysis::{fixed_point, FixedPointOutcome};
 use gmf_model::{cbr_flow, BitRate, EncapsulationConfig, LinkDemand, Time};
 use gmf_net::{paper_figure1, shortest_path, FlowSet, Priority};
 

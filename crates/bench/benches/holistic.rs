@@ -27,8 +27,9 @@ fn bench_holistic(c: &mut Criterion) {
     }
     group.finish();
 
-    // Engine axis: worker threads for the Jacobi rounds (16-flow set).
-    // The reports are byte-identical at every point; only wall clock moves.
+    // Thread axis (16-flow set): a single analysis runs on one thread
+    // whatever `threads` says, so the points must stay within noise of
+    // each other, and the reports are byte-identical at every point.
     let (topology, set) = synthetic_converging_set(*HOLISTIC_SYNTHETIC_AXIS.last().unwrap());
     let mut group = c.benchmark_group("holistic_threads");
     for threads in HOLISTIC_THREAD_AXIS {

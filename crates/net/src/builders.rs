@@ -18,7 +18,7 @@
 //! for `link(0,4)`); switch-to-switch and router links default to
 //! 100 Mbit/s.  Both are configurable through [`PaperNetworkConfig`].
 //!
-//! The synthetic builders ([`line`], [`star`], [`random_tree`]) are used by
+//! The synthetic builders ([`line`](fn@line), [`star`], [`random_tree`]) are used by
 //! the workload generators and the scalability experiments.
 
 use crate::link::LinkProfile;

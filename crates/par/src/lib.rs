@@ -1,30 +1,31 @@
 //! # gmf-par
 //!
 //! A minimal, deterministic fork-join parallel map for the workspace's
-//! analysis hot paths.
+//! coarse independent work units: admission lanes, shard preloads and
+//! sweep points.
 //!
 //! The build environment has no registry access, so rayon (with its global
 //! thread pool, work stealing and nondeterministic reduction order) is not
-//! available.  This crate provides the one primitive the holistic analysis
-//! and the workload sweeps actually need: apply a function to every element
-//! of a slice, possibly on several OS threads, and return the results **in
-//! input order** — bit-for-bit identical to the sequential loop at any
-//! thread count.
+//! available.  This crate provides the one primitive those callers need:
+//! apply a function to every element of a slice, possibly on several OS
+//! threads, and return the results **in input order** — bit-for-bit
+//! identical to the sequential loop at any thread count.
 //!
 //! Design constraints:
 //!
-//! * **Determinism.** Each item's result is written to its own pre-allocated
-//!   slot, so the output order never depends on scheduling.  The function is
-//!   applied exactly once per item with no shared mutable state.
+//! * **Determinism.** Each item's result is dealt back to its own input
+//!   position, so the output order never depends on scheduling.  The
+//!   function is applied exactly once per item with no shared mutable
+//!   state.
 //! * **No persistent pool.** [`std::thread::scope`] forks and joins within
-//!   the call.  The analysis rounds take milliseconds; thread spawn overhead
-//!   (~10 µs) is negligible at that granularity, and no state leaks between
-//!   calls.
-//! * **Static chunking.** Items are dealt to workers in contiguous chunks
-//!   (worker `w` gets items `[w·⌈n/t⌉, (w+1)·⌈n/t⌉)`).  The per-flow cost in
-//!   a holistic round is uneven but the flow counts are small, so chunking
-//!   beats a shared atomic cursor in simplicity and is still deterministic
-//!   in *work assignment*, which keeps per-thread behaviour reproducible
+//!   the call, at a few tens of microseconds per fork.  That only pays for
+//!   units that each take far longer — a whole shard or lane, never one
+//!   round of one analysis — and no state leaks between calls.
+//! * **Strided dealing.** Items are ranked (input order for
+//!   [`par_map_interleaved`], heaviest first for [`par_map_weighted`]) and
+//!   worker `w` of `T` takes ranks `w, w+T, w+2T, …`.  Expensive items
+//!   spread `1/T` apiece within one item's cost, and the assignment is a
+//!   pure function of the inputs, so per-thread behaviour is reproducible
 //!   under profiling.
 //!
 //! Panics in the mapped function propagate: if any worker panics, the join
@@ -51,16 +52,6 @@ impl Threads {
     pub fn new(n: usize) -> Threads {
         // tidy-allow: unwrap invariant: max(1) is non-zero
         Threads(NonZeroUsize::new(n.max(1)).expect("max(1) is non-zero"))
-    }
-
-    /// The available hardware parallelism, falling back to 1 when the
-    /// platform cannot report it.
-    pub fn available() -> Threads {
-        Threads(
-            std::thread::available_parallelism()
-                // tidy-allow: unwrap invariant: 1 is non-zero
-                .unwrap_or_else(|_| NonZeroUsize::new(1).expect("1 is non-zero")),
-        )
     }
 
     /// The worker count as a plain `usize` (always ≥ 1).
@@ -96,175 +87,26 @@ pub fn derive_seed(seed: u64, index: u64) -> u64 {
 /// The output is identical to
 /// `items.iter().enumerate().map(|(i, x)| f(i, x)).collect()` at any thread
 /// count; `f` receives the item's index so callers can key per-item state
-/// (e.g. a flow id) off it.
+/// (e.g. a point's RNG stream) off it.  Worker `w` of `T` takes items
+/// `w, w+T, w+2T, …`, so costs that trend along the input order still
+/// spread evenly.
 ///
 /// With `threads == 1`, or when `items` has at most one element, everything
 /// runs inline on the caller's thread.
-pub fn par_map<T, R, F>(threads: Threads, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = threads.get().min(n);
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-
-    // One pre-sized slot per item; each worker fills a disjoint contiguous
-    // range, so the output order is the input order by construction.  The
-    // caller's thread is one of the workers: it takes the last chunk inline
-    // instead of idling in join, so `workers` threads means `workers - 1`
-    // spawns.
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let chunk = n.div_ceil(workers);
-
-    std::thread::scope(|scope| {
-        let mut rest = slots.as_mut_slice();
-        let mut start = 0usize;
-        let mut handles = Vec::with_capacity(workers);
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let last_chunk = tail.is_empty();
-            rest = tail;
-            let base = start;
-            start += take;
-            let f = &f;
-            let mut fill = move || {
-                for (offset, slot) in head.iter_mut().enumerate() {
-                    let index = base + offset;
-                    *slot = Some(f(index, &items[index]));
-                }
-            };
-            if last_chunk {
-                fill();
-            } else {
-                handles.push(scope.spawn(fill));
-            }
-        }
-        // Propagate the first worker panic, if any, on the caller's thread.
-        for handle in handles {
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-    });
-
-    slots
-        .into_iter()
-        // tidy-allow: unwrap invariant: every slot is filled by exactly one worker
-        .map(|slot| slot.expect("every slot is filled by exactly one worker"))
-        .collect()
-}
-
-/// [`par_map`] with an *interleaved* (strided) work assignment: worker `w`
-/// of `T` takes items `w, w+T, w+2T, …` instead of one contiguous chunk.
-///
-/// The output is still exactly
-/// `items.iter().enumerate().map(|(i, x)| f(i, x)).collect()` at any thread
-/// count — each worker's results are dealt back into the positions of its
-/// stride, so ordering never depends on scheduling.  Prefer this variant
-/// when per-item costs are *systematically uneven along the input order*
-/// (the holistic rounds map flows whose cycle lengths and route depths
-/// vary several-fold): contiguous chunking can hand one worker all the
-/// expensive items, while striding spreads them `1/T` apiece within a
-/// factor of one item's cost.
 pub fn par_map_interleaved<T, R, F>(threads: Threads, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_interleaved_with(threads, items, || (), |(), index, item| f(index, item))
+    let workers = threads.get().min(items.len());
+    fork_join(workers, items, |rank| rank, f)
 }
 
-/// [`par_map_interleaved`] with per-worker mutable state: every worker
-/// builds one `S` via `init` and threads it through each item of its
-/// stride (the caller's inline path builds exactly one).
-///
-/// The motivating use is pooling scratch arenas — the analysis rounds hand
-/// each worker one reusable kernel arena instead of allocating per flow.
-/// Determinism is preserved as long as `f`'s *result* does not depend on
-/// the state's content (the state is storage, not an accumulator): the
-/// stride assignment and the deal back into input order are exactly those
-/// of [`par_map_interleaved`].
-pub fn par_map_interleaved_with<T, R, S, I, F>(
-    threads: Threads,
-    items: &[T],
-    init: I,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let workers = threads.get().min(n);
-    if workers <= 1 {
-        let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| f(&mut state, i, x))
-            .collect();
-    }
-
-    // Each worker produces its stride's results in stride order; the deal
-    // below puts result `k` of worker `w` at index `w + k·workers`.  The
-    // caller's thread takes the last stride inline instead of idling in
-    // join, so `workers` threads means `workers - 1` spawns.
-    let mut strides: Vec<Vec<R>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let init = &init;
-        let handles: Vec<_> = (0..workers - 1)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut state = init();
-                    (w..n)
-                        .step_by(workers)
-                        .map(|index| f(&mut state, index, &items[index]))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        let mut state = init();
-        let last: Vec<R> = (workers - 1..n)
-            .step_by(workers)
-            .map(|index| f(&mut state, index, &items[index]))
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(stride) => strides.push(stride),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        strides.push(last);
-    });
-
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    for (w, stride) in strides.into_iter().enumerate() {
-        for (k, result) in stride.into_iter().enumerate() {
-            slots[w + k * workers] = Some(result);
-        }
-    }
-    slots
-        .into_iter()
-        // tidy-allow: unwrap invariant: every slot is filled by exactly one stride
-        .map(|slot| slot.expect("every slot is filled by exactly one stride"))
-        .collect()
-}
-
-/// [`par_map`] with a *weighted* longest-processing-time work assignment:
-/// items are dealt to workers in descending `weight` order (ties broken by
-/// input index), each landing on the stride of its rank — the classic LPT
-/// round-robin that keeps a few heavy items from serialising a batch.
+/// [`par_map_interleaved`] with a *weighted* longest-processing-time work
+/// assignment: items are ranked in descending `weight` order (ties broken
+/// by input index) and each lands on the stride of its rank — the classic
+/// LPT round-robin that keeps a few heavy items from serialising a batch.
 ///
 /// The output is still exactly
 /// `items.iter().enumerate().map(|(i, x)| f(i, x)).collect()` at any thread
@@ -281,53 +123,66 @@ where
     F: Fn(usize, &T) -> R + Sync,
     W: Fn(&T) -> u64,
 {
+    let workers = threads.get().min(items.len());
+    let mut order: Vec<usize> = Vec::new();
+    if workers > 1 {
+        order.extend(0..items.len());
+        order.sort_by_key(|&i| (std::cmp::Reverse(weight(&items[i])), i));
+    }
+    fork_join(workers, items, |rank| order[rank], f)
+}
+
+/// The one fork-join body: rank `r` is the item at input index
+/// `position(r)`, worker `w` of `workers` takes ranks `w, w+workers, …`,
+/// and each result is dealt back to its item's input position.
+///
+/// With at most one worker `position` is never called and the items run
+/// inline in input order.  Otherwise the caller's thread takes the last
+/// stride instead of idling in join, so `workers` threads means
+/// `workers - 1` spawns.
+fn fork_join<T, R, F, P>(workers: usize, items: &[T], position: P, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+    P: Fn(usize) -> usize + Sync,
+{
     let n = items.len();
-    let workers = threads.get().min(n);
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
 
-    // Rank the items heaviest-first (stable on input index), then give
-    // worker `w` the ranks `w, w+T, w+2T, …`.  Worker loads are balanced
-    // within one heavy item's cost and the assignment is a pure function
-    // of the inputs.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(weight(&items[i])), i));
-    let assignment = &order;
-
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let mut by_rank: Vec<Vec<R>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let f = &f;
-        // The caller's thread takes the last stride inline instead of
-        // idling in join, so `workers` threads means `workers - 1` spawns.
-        let handles: Vec<_> = (0..workers - 1)
-            .map(|w| {
-                scope.spawn(move || {
-                    (w..n)
-                        .step_by(workers)
-                        .map(|rank| f(assignment[rank], &items[assignment[rank]]))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        let last: Vec<R> = (workers - 1..n)
+    let stride = |w: usize| -> Vec<R> {
+        (w..n)
             .step_by(workers)
-            .map(|rank| f(assignment[rank], &items[assignment[rank]]))
+            .map(|rank| {
+                let index = position(rank);
+                f(index, &items[index])
+            })
+            .collect()
+    };
+    let mut strides: Vec<Vec<R>> = Vec::with_capacity(workers);
+    std::thread::scope(|scope| {
+        let stride = &stride;
+        let handles: Vec<_> = (0..workers - 1)
+            .map(|w| scope.spawn(move || stride(w)))
             .collect();
+        let last = stride(workers - 1);
+        // Propagate the first worker panic, if any, on the caller's thread.
         for handle in handles {
             match handle.join() {
-                Ok(stride) => by_rank.push(stride),
+                Ok(results) => strides.push(results),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
-        by_rank.push(last);
+        strides.push(last);
     });
 
-    for (w, stride) in by_rank.into_iter().enumerate() {
-        for (k, result) in stride.into_iter().enumerate() {
-            slots[assignment[w + k * workers]] = Some(result);
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
+    slots.resize_with(n, || None);
+    for (w, results) in strides.into_iter().enumerate() {
+        for (k, result) in results.into_iter().enumerate() {
+            slots[position(w + k * workers)] = Some(result);
         }
     }
     slots
@@ -346,15 +201,14 @@ mod tests {
         assert_eq!(Threads::default(), Threads::ONE);
         assert_eq!(Threads::new(0).get(), 1);
         assert_eq!(Threads::new(4).get(), 4);
-        assert!(Threads::available().get() >= 1);
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<i32> = Vec::new();
-        let out = par_map(Threads::new(8), &empty, |_, x: &i32| *x * 2);
+        let out = par_map_interleaved(Threads::new(8), &empty, |_, x: &i32| *x * 2);
         assert!(out.is_empty());
-        let out = par_map(Threads::new(8), &[21], |_, x| *x * 2);
+        let out = par_map_interleaved(Threads::new(8), &[21], |_, x| *x * 2);
         assert_eq!(out, vec![42]);
     }
 
@@ -363,7 +217,7 @@ mod tests {
         let items: Vec<usize> = (0..103).collect();
         let expected: Vec<usize> = items.iter().map(|x| x * x).collect();
         for threads in [1, 2, 3, 4, 8, 16, 200] {
-            let out = par_map(Threads::new(threads), &items, |_, x| x * x);
+            let out = par_map_interleaved(Threads::new(threads), &items, |_, x| x * x);
             assert_eq!(out, expected, "threads = {threads}");
         }
     }
@@ -371,14 +225,14 @@ mod tests {
     #[test]
     fn index_argument_matches_position() {
         let items = vec!["a", "b", "c", "d", "e"];
-        let out = par_map(Threads::new(3), &items, |i, s| format!("{i}:{s}"));
+        let out = par_map_interleaved(Threads::new(3), &items, |i, s| format!("{i}:{s}"));
         assert_eq!(out, vec!["0:a", "1:b", "2:c", "3:d", "4:e"]);
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
         let items = vec![1, 2, 3];
-        let out = par_map(Threads::new(64), &items, |_, x| x + 1);
+        let out = par_map_interleaved(Threads::new(64), &items, |_, x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
     }
 
@@ -397,32 +251,6 @@ mod tests {
         assert_eq!(
             par_map_interleaved(Threads::new(8), &[21], |_, x| *x * 2),
             vec![42]
-        );
-    }
-
-    #[test]
-    fn stateful_interleaved_map_matches_sequential_at_any_thread_count() {
-        // The state is a reusable scratch buffer: correctness must not
-        // depend on which worker (and hence which buffer) serves an item.
-        let items: Vec<usize> = (0..103).collect();
-        let expected: Vec<usize> = items.iter().map(|x| x * x).collect();
-        for threads in [1, 2, 3, 4, 8, 16, 200] {
-            let out = par_map_interleaved_with(
-                Threads::new(threads),
-                &items,
-                Vec::<usize>::new,
-                |scratch, _, &x| {
-                    scratch.clear();
-                    scratch.extend((0..x.min(7)).map(|_| x));
-                    x * x
-                },
-            );
-            assert_eq!(out, expected, "threads = {threads}");
-        }
-        let empty: Vec<i32> = Vec::new();
-        assert!(
-            par_map_interleaved_with(Threads::new(8), &empty, || (), |(), _, x: &i32| *x)
-                .is_empty()
         );
     }
 
@@ -469,13 +297,14 @@ mod tests {
     #[test]
     fn fallible_results_keep_order() {
         let items: Vec<i32> = (0..20).collect();
-        let out: Vec<Result<i32, String>> = par_map(Threads::new(4), &items, |_, &x| {
-            if x % 7 == 3 {
-                Err(format!("bad {x}"))
-            } else {
-                Ok(x)
-            }
-        });
+        let out: Vec<Result<i32, String>> =
+            par_map_interleaved(Threads::new(4), &items, |_, &x| {
+                if x % 7 == 3 {
+                    Err(format!("bad {x}"))
+                } else {
+                    Ok(x)
+                }
+            });
         assert_eq!(out.len(), 20);
         assert_eq!(out[3], Err("bad 3".to_string()));
         assert_eq!(out[10], Err("bad 10".to_string()));
@@ -517,7 +346,7 @@ mod tests {
     fn worker_panic_propagates() {
         let items: Vec<i32> = (0..8).collect();
         let result = std::panic::catch_unwind(|| {
-            par_map(Threads::new(4), &items, |_, &x| {
+            par_map_interleaved(Threads::new(4), &items, |_, &x| {
                 if x == 5 {
                     panic!("boom");
                 }

@@ -45,8 +45,8 @@ const SUB_BUCKETS: u64 = 1 << SUB_BUCKET_BITS;
 /// A streaming fixed-precision histogram of response times, log-bucketed
 /// on integer nanoseconds (HdrHistogram-style log-linear buckets).
 ///
-/// Values below [`SUB_BUCKETS`] ns get exact unit buckets; above that,
-/// each power-of-two octave is split into [`SUB_BUCKETS`] linear
+/// Values below `SUB_BUCKETS` (64) ns get exact unit buckets; above that,
+/// each power-of-two octave is split into `SUB_BUCKETS` linear
 /// sub-buckets, so any quantile is reported within one bucket (≤ 1.6%
 /// relative error) of the exact order statistic while storage stays a few
 /// kilobytes regardless of sample count.  The representation is canonical

@@ -18,7 +18,7 @@ use gmf_net::{
     shortest_path, star, FlowSet, LinkProfile, NodeId, Priority, PriorityPolicy, SwitchConfig,
     Topology,
 };
-use gmf_par::{par_map, Threads};
+use gmf_par::{par_map_interleaved, Threads};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -230,7 +230,7 @@ pub fn acceptance_sweep_par(
 ) -> Vec<AcceptancePoint> {
     // tidy-allow: unwrap invariant: invalid sweep configuration
     config.validate().expect("invalid sweep configuration");
-    par_map(
+    par_map_interleaved(
         Threads::new(threads),
         utilizations,
         |index, &utilization| {

@@ -1,13 +1,13 @@
-//! Property-based tests of the holistic fixed-point engine: the parallel
-//! Jacobi rounds and the dirty-flow round skipping must both be invisible
-//! in the results.
+//! Property-based tests of the holistic fixed-point engine: the thread
+//! count and the dirty-flow round skipping must both be invisible in the
+//! results.
 //!
 //! (a) Round skipping only saves per-flow analyses: on random converging
 //!     flow sets (the acceptance-sweep generator) the full report —
 //!     bounds, verdict, iteration count, convergence trace — is
 //!     `assert_eq!`-identical with skipping on and off.
-//! (b) The per-flow analyses of a round are independent, so the full
-//!     report is `assert_eq!`-identical across worker-thread counts 1/2/8.
+//! (b) A single analysis never reads `AnalysisConfig::threads`, so the
+//!     full report is `assert_eq!`-identical across thread counts 1/2/8.
 
 use gmfnet::analysis::{analyze, AnalysisConfig};
 use gmfnet::workloads::SweepConfig;
