@@ -30,7 +30,8 @@
 //!   the trial set; independent lanes and shard preloads are where the
 //!   crate runs in parallel;
 //! * [`resilience::SurvivabilityAnalysis`] — the single-failure
-//!   survivability sweep built on the warm admission plane;
+//!   survivability sweep: one cold analysis of the shards a failure
+//!   reaches, the preload's cached reports for the rest;
 //! * [`baseline`] — the sporadic-collapse and utilization-only baselines
 //!   used for comparison experiments;
 //! * [`reference::analyze_reference`] — the deliberately simple keyed

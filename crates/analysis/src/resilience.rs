@@ -10,53 +10,64 @@
 //! # The incremental sweep
 //!
 //! A cold answer would re-run the whole holistic analysis once per scenario.
-//! [`SurvivabilityAnalysis`] instead reuses the admission plane's warm
-//! machinery, per scenario:
+//! [`SurvivabilityAnalysis`] instead re-verifies only the shards (see
+//! [`crate::deps`]) the failure can reach, per scenario:
 //!
-//! 1. apply the fault to a scratch copy of the topology and materialise the
-//!    [`gmf_net::SurvivorView`];
-//! 2. *release* — in one [`AdmissionController::release_batch`] — every
-//!    shard that contains a flow touching a dirty node (a failed cable's
-//!    endpoint or a degraded switch): exactly the flows whose bounds the
-//!    failure (or the departures and re-routes it forces) can change;
-//! 3. [`AdmissionController::rebase`] the controller onto the survivor
-//!    topology — sound because every retained flow's route provably
-//!    traverses only unchanged hardware, so the warm cache stays valid
-//!    verbatim;
-//! 4. re-admit the released flows in ascending id order through the warm,
-//!    shard-scoped [`AdmissionController::request_batch`] — severed flows
-//!    over their shortest-path fallback route
-//!    ([`gmf_net::reroute_severed`]), the rest over their original route;
-//!    stranded flows (no surviving route) stay out.
+//! 1. apply the fault to a scratch copy of the topology, materialise the
+//!    [`gmf_net::SurvivorView`] and give every severed flow its
+//!    shortest-path fallback route ([`gmf_net::reroute_severed`]); flows
+//!    with no surviving route are *stranded*;
+//! 2. mark *dirty* every shard of the pristine partition that holds a flow
+//!    touching a dirty node (a failed cable's endpoint or a degraded
+//!    switch), then close over the reroutes: every shard a fallback route
+//!    touches ([`crate::DependencyGraph::shards_touching_route`]) is dirty
+//!    too;
+//! 3. analyse the dirty shards' members — stranded flows dropped, fallback
+//!    routes swapped in, original ids kept — in one cold holistic run on
+//!    the survivor topology;
+//! 4. take every other flow's bounds and slack verbatim from the pristine
+//!    controller's warm cache ([`AdmissionController::cached_reports`]).
 //!
 //! # Why incremental equals cold
 //!
 //! The verdict must be byte-identical to a cold [`crate::fixed_point::analyze`]
-//! of the re-routed survivor set.  Two established properties carry the
-//! argument:
+//! of the re-routed survivor set.  Two facts carry the argument:
 //!
-//! * **warm == cold per trial** (PRs 3/7, property-tested): every warm
-//!   shard-scoped trial decision and bound is byte-identical to a cold
-//!   analysis of the same trial set;
-//! * **monotonicity in the flow set**: adding a flow never decreases any
-//!   bound, so every subset of a schedulable set is schedulable.
+//! * **shard independence**: the holistic fixed point couples two flows
+//!   only through a shared directed link, so a cold analysis of a flow set
+//!   gives each flow the bounds a cold analysis of its own shard alone
+//!   gives (the per-shard preload of
+//!   [`AdmissionController::with_accepted`] rests on the same fact, and
+//!   `tests/resilience_properties.rs` property-tests it);
+//! * **the reroute closure separates the two halves**: a retained flow (one
+//!   outside the dirty shards) traverses no dirty node, so every link and
+//!   switch it uses is unchanged; it shares no link with a member of a
+//!   dirty shard (shards are components) nor with a fallback route (step
+//!   2), so its shard is a whole component of the survivor set too.
 //!
-//! If the cold survivor set is schedulable, each re-admission's trial set is
-//! a subset of it, hence schedulable — every re-admission is accepted and
-//! the final per-shard state is the cold analysis of the survivor set.  If
-//! every re-admission is accepted, the final accepted set *is* the survivor
-//! set and its per-shard warm analyses certify it schedulable.
-//! Contrapositively both directions agree on "not schedulable", and at least
-//! one re-admission is rejected in that case.
+//! Hence the cold analysis of the survivor set splits into the one run of
+//! step 3 and the retained shards, whose analyses on the survivor topology
+//! equal their pristine ones — exactly the cached reports.  The retained
+//! shards were verified schedulable when the analysis was built, so the
+//! survivor set is schedulable exactly when the run of step 3 is.  A
+//! retained flow without a cached report cannot occur (the preload caches
+//! every flow); should one turn up, its shard is re-verified instead.
 
-use crate::admission::{AdmissionController, AdmissionRequest, PreloadStats};
+use crate::admission::{AdmissionController, PreloadStats};
 use crate::config::AnalysisConfig;
+use crate::context::AnalysisContext;
+use crate::deps::ShardId;
 use crate::error::AnalysisError;
-use crate::report::AnalysisReport;
+use crate::fixed_point::iterate;
+use crate::report::{AnalysisReport, FlowReport};
 use gmf_model::{FlowId, Time};
-use gmf_net::{reroute_severed, FlowSet, NetError, NodeId, Route, SwitchConfig, Topology};
+use gmf_net::{
+    reroute_severed, FlowSet, NetError, NodeId, RerouteOutcome, Route, SurvivorView, SwitchConfig,
+    Topology,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::slice;
 
 /// One injectable single-failure scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -162,9 +173,13 @@ pub struct FailureVerdict {
     pub stranded: Vec<FlowId>,
     /// Severed flows that found a fallback route (original ids, ascending).
     pub rerouted: Vec<FlowId>,
-    /// Re-admissions the survivor network rejected (original ids).
+    /// Re-verified survivor flows (original ids, ascending) the survivor
+    /// analysis did not bound within their deadlines: the flows whose
+    /// converged bound misses a deadline, or every re-verified survivor
+    /// flow when the run aborted or did not converge (its bounds are not
+    /// final).  Empty exactly when `survivor_schedulable`.
     pub rejected: Vec<FlowId>,
-    /// How many flows the incremental path released and re-verified — the
+    /// How many flows the dirty shards hold, stranded flows included — the
     /// sweep's unit of work, versus `n_accepted` for a cold re-analysis.
     pub reverified: usize,
     /// The survivor set's smallest worst-case slack when it is schedulable
@@ -174,11 +189,14 @@ pub struct FailureVerdict {
     /// by *original* flow id — populated only when the survivor set is
     /// schedulable (partial bounds are not comparable).
     pub bounds: BTreeMap<FlowId, Vec<Time>>,
-    /// Original id → trial id of every re-admitted flow, in request order.
+    /// Always empty: the survivor analysis keeps every flow's original id.
+    /// Kept so the verdict's serialised shape stays the same.
     pub id_map: Vec<(FlowId, FlowId)>,
-    /// Total holistic rounds across the scenario's re-admissions.
+    /// Holistic rounds of the scenario's one survivor analysis (0 when no
+    /// survivor flow needed re-verifying).
     pub rounds: usize,
-    /// Total per-flow pipeline analyses across the re-admissions.
+    /// Per-flow pipeline analyses of the scenario's one survivor analysis
+    /// (0 when no survivor flow needed re-verifying).
     pub flow_analyses: usize,
 }
 
@@ -235,25 +253,26 @@ impl SurvivabilityReport {
             .min()
     }
 
-    /// Total holistic rounds across every scenario's re-admissions.
+    /// Total holistic rounds across every scenario's survivor analysis.
     pub fn total_rounds(&self) -> usize {
         self.verdicts.iter().map(|v| v.rounds).sum()
     }
 
-    /// Total per-flow analyses across every scenario's re-admissions.
+    /// Total per-flow analyses across every scenario's survivor analysis.
     pub fn total_flow_analyses(&self) -> usize {
         self.verdicts.iter().map(|v| v.flow_analyses).sum()
     }
 
-    /// Total flows released + re-verified across scenarios.
+    /// Total flows re-verified across scenarios.
     pub fn total_reverified(&self) -> usize {
         self.verdicts.iter().map(|v| v.reverified).sum()
     }
 }
 
 /// The survivability analysis of one admitted flow set: a pristine warm
-/// [`AdmissionController`] that each scenario assessment clones, mutates
-/// and discards — the sweep never pays for more than the failure's shards.
+/// [`AdmissionController`] whose partition and cached reports every
+/// scenario assessment reads and never changes — the sweep never pays for
+/// more than the failure's shards.
 #[derive(Debug, Clone)]
 pub struct SurvivabilityAnalysis {
     controller: AdmissionController,
@@ -277,144 +296,103 @@ impl SurvivabilityAnalysis {
         &self.controller
     }
 
-    /// Assess one failure scenario incrementally (steps 1–4 of the module
-    /// docs): release the affected shards, rebase onto the survivor,
-    /// re-admit rerouted and re-verified flows warm, and report the
-    /// verdict with margins and per-flow bounds.
-    pub fn assess(&self, scenario: &FailureScenario) -> Result<FailureVerdict, AnalysisError> {
+    /// What `scenario` leaves of the network — the prelude both assessment
+    /// paths share.
+    fn aftermath(&self, scenario: &FailureScenario) -> Result<Aftermath, AnalysisError> {
         let mut faulty = self.controller.topology().clone();
         scenario.apply(&mut faulty).map_err(AnalysisError::Net)?;
         let survivor = faulty.survivor();
-        let accepted = self.controller.accepted();
-
-        // Everything the failure can influence: the full shard of every
-        // flow that touches a dirty node.  Releasing whole shards keeps
-        // the remaining cache exactly valid (release_batch's invalidation
-        // union stays inside the released set), so every retained flow's
-        // cached report is still the cold truth after the rebase.
-        let touched = survivor.affected_flows(accepted);
-        let mut release: BTreeSet<FlowId> = BTreeSet::new();
-        for &id in &touched {
-            match self
-                .controller
-                .partition()
-                .shard_of(id)
-                .and_then(|shard| self.controller.partition().shard_flows(shard))
-            {
-                Some(members) => release.extend(members.iter().copied()),
-                None => {
-                    release.insert(id);
+        let (mut stranded, mut fallback) = (Vec::new(), BTreeMap::new());
+        for outcome in reroute_severed(&survivor, self.controller.accepted()) {
+            match outcome {
+                RerouteOutcome::Rerouted { id, route } => {
+                    fallback.insert(id, route);
                 }
+                RerouteOutcome::Stranded { id, .. } => stranded.push(id),
             }
         }
-        let release_order: Vec<FlowId> = release.iter().copied().collect();
+        Ok((survivor, stranded, fallback))
+    }
 
-        let outcomes = reroute_severed(&survivor, accepted);
-        let stranded: Vec<FlowId> = outcomes
-            .iter()
-            .filter(|o| o.is_stranded())
-            .map(|o| o.id())
+    /// Assess one failure scenario incrementally (steps 1–4 of the module
+    /// docs): re-verify the dirty shards in one survivor analysis, keep
+    /// every other flow's cached report, and report the verdict with
+    /// margins and per-flow bounds.
+    pub fn assess(&self, scenario: &FailureScenario) -> Result<FailureVerdict, AnalysisError> {
+        let (survivor, stranded, fallback) = self.aftermath(scenario)?;
+        let accepted = self.controller.accepted();
+        let partition = self.controller.partition();
+        let cached: BTreeMap<FlowId, &FlowReport> = self.controller.cached_reports().collect();
+        // A retained flow without a cached report cannot occur (the preload
+        // caches every flow); should one turn up, its shard is re-verified.
+        let uncached = accepted.ids().filter(|id| !cached.contains_key(id));
+        let mut shards: BTreeSet<ShardId> = survivor
+            .affected_flows(accepted)
+            .into_iter()
+            .chain(uncached)
+            .map(|id| partition.shard_of(id).unwrap_or(ShardId(id)))
             .collect();
-        let mut fallback_routes: BTreeMap<FlowId, Route> = outcomes
-            .iter()
-            .filter_map(|o| o.route().map(|r| (o.id(), r.clone())))
-            .collect();
-        let rerouted: Vec<FlowId> = fallback_routes.keys().copied().collect();
-
-        let mut ctl = self.controller.clone();
-        ctl.release_batch(&release_order)?;
-        ctl.rebase(survivor.topology().clone())?;
-
-        let stranded_set: BTreeSet<FlowId> = stranded.iter().copied().collect();
-        let mut originals: Vec<FlowId> = Vec::with_capacity(release_order.len());
-        let mut requests: Vec<AdmissionRequest> = Vec::with_capacity(release_order.len());
-        for &id in &release_order {
-            if stranded_set.contains(&id) {
-                continue;
-            }
-            let binding = accepted.get(id).map_err(AnalysisError::Net)?;
-            let route = fallback_routes
-                .remove(&id)
-                .unwrap_or_else(|| binding.route.clone());
-            originals.push(id);
-            requests.push(
-                AdmissionRequest::new(binding.flow.clone(), route, binding.priority)
-                    .with_encapsulation(binding.encapsulation),
-            );
+        for route in fallback.values() {
+            shards.extend(partition.shards_touching_route(route));
         }
-        let decisions = ctl.request_batch(requests)?;
+        // A shard's id is its smallest member, so an id the partition does
+        // not know stands for itself.
+        let dirty: BTreeSet<FlowId> = shards
+            .iter()
+            .flat_map(|s| partition.shard_flows(*s).unwrap_or(slice::from_ref(&s.0)))
+            .copied()
+            .collect();
+        let kept = cached.into_iter().filter(|(id, _)| !dirty.contains(id));
 
-        let mut rejected: Vec<FlowId> = Vec::new();
-        let mut id_map: Vec<(FlowId, FlowId)> = Vec::with_capacity(decisions.len());
-        let mut rounds = 0usize;
-        let mut flow_analyses = 0usize;
-        for (&original, decision) in originals.iter().zip(&decisions) {
-            id_map.push((original, decision.id()));
-            rounds += decision.cost().rounds;
-            flow_analyses += decision.cost().flow_analyses;
-            if !decision.is_accepted() {
-                rejected.push(original);
+        let mut set = FlowSet::new();
+        for &id in dirty.iter().filter(|id| !stranded.contains(id)) {
+            let mut binding = accepted.get(id).map_err(AnalysisError::Net)?.clone();
+            if let Some(route) = fallback.get(&id) {
+                binding.route = route.clone();
+            }
+            set.insert(binding).map_err(AnalysisError::Net)?;
+        }
+        let run = if set.is_empty() {
+            None
+        } else {
+            let ctx = AnalysisContext::new(survivor.topology(), &set)?;
+            Some(iterate(&ctx, self.controller.config())?)
+        };
+
+        let (mut rejected, mut margin, mut bounds) = (Vec::new(), None, BTreeMap::new());
+        match &run {
+            Some(run) if !run.report.schedulable => {
+                rejected = if run.report.converged {
+                    let missed = run.report.flows.iter().filter(|f| !f.meets_all_deadlines());
+                    missed.map(|f| f.flow).collect()
+                } else {
+                    set.ids().collect()
+                };
+            }
+            _ => {
+                let fresh = run.iter().flat_map(|run| &run.report.flows);
+                let reports: Vec<&FlowReport> = fresh.chain(kept.map(|(_, r)| r)).collect();
+                margin = reports.iter().filter_map(|f| f.worst_slack()).min();
+                bounds = reports
+                    .into_iter()
+                    .map(|f| (f.flow, f.frames.iter().map(|b| b.bound).collect()))
+                    .collect();
             }
         }
         let survivor_schedulable = rejected.is_empty();
-        let survivable = survivor_schedulable && stranded.is_empty();
-
-        // Margins and bounds, keyed back to original ids.  The cached
-        // reports cover the whole survivor set here (retained flows kept
-        // theirs, re-admissions refreshed the rest); if the cache was
-        // dropped along the way (possible only without dependency
-        // information), fall back to one explicit re-analysis.
-        let mut margin = None;
-        let mut bounds: BTreeMap<FlowId, Vec<Time>> = BTreeMap::new();
-        if survivor_schedulable {
-            let back: BTreeMap<FlowId, FlowId> =
-                id_map.iter().map(|&(orig, new)| (new, orig)).collect();
-            let cached: BTreeMap<FlowId, Vec<Time>> = ctl
-                .cached_reports()
-                .map(|(id, report)| (id, report.frames.iter().map(|f| f.bound).collect()))
-                .collect();
-            let complete = cached.len() == ctl.n_accepted();
-            let slacks_and_bounds: Vec<(FlowId, Option<Time>, Vec<Time>)> = if complete {
-                ctl.cached_reports()
-                    .map(|(id, report)| {
-                        (
-                            *back.get(&id).unwrap_or(&id),
-                            report.worst_slack(),
-                            report.frames.iter().map(|f| f.bound).collect(),
-                        )
-                    })
-                    .collect()
-            } else {
-                let report = ctl.reanalyze()?;
-                report
-                    .flows
-                    .iter()
-                    .map(|flow| {
-                        (
-                            *back.get(&flow.flow).unwrap_or(&flow.flow),
-                            flow.worst_slack(),
-                            flow.frames.iter().map(|f| f.bound).collect(),
-                        )
-                    })
-                    .collect()
-            };
-            margin = slacks_and_bounds.iter().filter_map(|(_, s, _)| *s).min();
-            for (id, _, b) in slacks_and_bounds {
-                bounds.insert(id, b);
-            }
-        }
-
+        let (rounds, flow_analyses) =
+            run.map_or((0, 0), |run| (run.report.iterations, run.flow_analyses));
         Ok(FailureVerdict {
             scenario: *scenario,
-            survivable,
+            survivable: survivor_schedulable && stranded.is_empty(),
             survivor_schedulable,
             stranded,
-            rerouted,
+            rerouted: fallback.keys().copied().collect(),
             rejected,
-            reverified: release_order.len(),
+            reverified: dirty.len(),
             margin,
             bounds,
-            id_map,
+            id_map: Vec::new(),
             rounds,
             flow_analyses,
         })
@@ -437,22 +415,15 @@ impl SurvivabilityAnalysis {
     /// survivor topology.  [`FailureVerdict::survivor_schedulable`],
     /// margins and bounds must match this byte for byte.
     pub fn cold_verdict(&self, scenario: &FailureScenario) -> Result<ColdVerdict, AnalysisError> {
-        let mut faulty = self.controller.topology().clone();
-        scenario.apply(&mut faulty).map_err(AnalysisError::Net)?;
-        let survivor = faulty.survivor();
-        let accepted = self.controller.accepted();
-        let outcomes = reroute_severed(&survivor, accepted);
-        let mut set = accepted.clone();
-        let mut stranded = Vec::new();
-        for outcome in outcomes {
-            let mut binding = set.remove(outcome.id()).map_err(AnalysisError::Net)?;
-            match outcome {
-                gmf_net::RerouteOutcome::Rerouted { route, .. } => {
-                    binding.route = route;
-                    set.insert(binding).map_err(AnalysisError::Net)?;
-                }
-                gmf_net::RerouteOutcome::Stranded { id, .. } => stranded.push(id),
-            }
+        let (survivor, stranded, fallback) = self.aftermath(scenario)?;
+        let mut set = self.controller.accepted().clone();
+        for &id in &stranded {
+            set.remove(id).map_err(AnalysisError::Net)?;
+        }
+        for (id, route) in fallback {
+            let mut binding = set.remove(id).map_err(AnalysisError::Net)?;
+            binding.route = route;
+            set.insert(binding).map_err(AnalysisError::Net)?;
         }
         let report =
             crate::fixed_point::analyze(survivor.topology(), &set, self.controller.config())?;
@@ -473,6 +444,10 @@ impl SurvivabilityAnalysis {
         })
     }
 }
+
+/// The network a failure leaves behind: the survivor view, the stranded
+/// flows and the fallback route of every rerouted flow (original ids).
+type Aftermath = (SurvivorView, Vec<FlowId>, BTreeMap<FlowId, Route>);
 
 /// Compare an incremental verdict against the cold oracle of the same
 /// scenario; `None` means byte-identical, `Some` describes the first
@@ -515,7 +490,7 @@ pub fn divergence(incremental: &FailureVerdict, cold: &ColdVerdict) -> Option<St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmf_model::{paper_figure3_flow, voip_flow, Time, VoiceCodec};
+    use gmf_model::{paper_figure3_flow, voip_flow, GmfFlow, Time, VoiceCodec};
     use gmf_net::{shortest_path, LinkProfile, Priority};
 
     /// h0 - s1 - s2 - h3 with a spare path s1 - s4 - s2, plus h5 on s4.
@@ -534,23 +509,21 @@ mod tests {
         (t, vec![h0, s1, s2, h3, s4, h5])
     }
 
+    /// A G.711 call with the given deadline and source jitter (µs).
+    fn voice(name: &str, deadline_us: f64, jitter_us: f64) -> GmfFlow {
+        let (deadline, jitter) = (Time::from_micros(deadline_us), Time::from_micros(jitter_us));
+        voip_flow(name, VoiceCodec::G711, deadline, jitter)
+    }
+
     fn accepted_set(t: &Topology, n: &[NodeId]) -> FlowSet {
         let mut flows = FlowSet::new();
-        let voice = |name: &str| {
-            voip_flow(
-                name,
-                VoiceCodec::G711,
-                Time::from_millis(20.0),
-                Time::from_millis(0.5),
-            )
-        };
         flows.add(
-            voice("a"),
+            voice("a", 20_000.0, 500.0),
             shortest_path(t, n[0], n[3]).unwrap(),
             Priority(7),
         );
         flows.add(
-            voice("b"),
+            voice("b", 20_000.0, 500.0),
             shortest_path(t, n[5], n[0]).unwrap(),
             Priority(6),
         );
@@ -626,16 +599,8 @@ mod tests {
         let (t, n) = topo();
         let mut flows = FlowSet::new();
         // A tight-deadline voice call straight through s1.
-        flows.add(
-            voip_flow(
-                "tight",
-                VoiceCodec::G711,
-                Time::from_micros(700.0),
-                Time::from_millis(0.1),
-            ),
-            shortest_path(&t, n[0], n[3]).unwrap(),
-            Priority(7),
-        );
+        let route = shortest_path(&t, n[0], n[3]).unwrap();
+        flows.add(voice("tight", 700.0, 100.0), route, Priority(7));
         let (analysis, _) =
             SurvivabilityAnalysis::new(t.clone(), flows, AnalysisConfig::paper()).unwrap();
         // An extreme slowdown of s1 must flip the verdict; both paths agree.
@@ -662,6 +627,86 @@ mod tests {
             divergence(&v2, &analysis.cold_verdict(&benign).unwrap()),
             None
         );
+    }
+
+    #[test]
+    fn rejected_names_exactly_the_flows_that_miss_a_deadline() {
+        let (t, n) = topo();
+        let route = shortest_path(&t, n[0], n[3]).unwrap();
+        let mut flows = FlowSet::new();
+        flows.add(voice("loose", 20_000.0, 100.0), route.clone(), Priority(7));
+        // About 0.51 ms through the pristine s1, 0.67 ms through s1 at
+        // an eighth of its speed.
+        let tight = flows.add(voice("tight", 600.0, 100.0), route, Priority(6));
+        let (analysis, _) = SurvivabilityAnalysis::new(t, flows, AnalysisConfig::paper()).unwrap();
+        let scenario = FailureScenario::SwitchDegrade {
+            switch: n[1],
+            factor: 8,
+        };
+        let verdict = analysis.assess(&scenario).unwrap();
+        let cold = analysis.cold_verdict(&scenario).unwrap();
+        assert_eq!(divergence(&verdict, &cold), None);
+        assert!(cold.report.converged && !cold.report.schedulable);
+        assert!(!verdict.survivor_schedulable);
+        assert_eq!(verdict.rejected, vec![tight]);
+        assert_eq!(verdict.reverified, 2);
+    }
+
+    /// h0 - s1 - s2 - h3 with a detour s1 - s4 - s5 - s2, h6 on s4 and h7
+    /// on s5: cutting s1 - s2 reroutes a flow onto s4 -> s5, the link a
+    /// flow of another, untouched shard uses.
+    #[test]
+    fn a_reroute_into_a_retained_shard_reverifies_that_shard() {
+        let mut t = Topology::new();
+        let h0 = t.add_end_host("h0");
+        let s1 = t.add_switch(SwitchConfig::paper(), "s1");
+        let s2 = t.add_switch(SwitchConfig::paper(), "s2");
+        let h3 = t.add_end_host("h3");
+        let s4 = t.add_switch(SwitchConfig::paper(), "s4");
+        let s5 = t.add_switch(SwitchConfig::paper(), "s5");
+        let h6 = t.add_end_host("h6");
+        let h7 = t.add_end_host("h7");
+        for (a, b) in [
+            (h0, s1),
+            (s1, s2),
+            (s2, h3),
+            (s1, s4),
+            (s4, s5),
+            (s5, s2),
+            (s4, h6),
+            (s5, h7),
+        ] {
+            t.add_duplex_link(a, b, LinkProfile::ethernet_100m())
+                .unwrap();
+        }
+        let mut flows = FlowSet::new();
+        let a = flows.add(
+            voice("a", 20_000.0, 500.0),
+            shortest_path(&t, h0, h3).unwrap(),
+            Priority(7),
+        );
+        let b = flows.add(
+            voice("b", 20_000.0, 500.0),
+            shortest_path(&t, h6, h7).unwrap(),
+            Priority(6),
+        );
+        assert_eq!(flows.get(b).unwrap().route.nodes(), &[h6, s4, s5, h7]);
+        let (analysis, stats) =
+            SurvivabilityAnalysis::new(t, flows, AnalysisConfig::paper()).unwrap();
+        assert_eq!(stats.shards, 2);
+        let (_, pristine) = analysis.controller().cached_reports().nth(1).unwrap();
+        let pristine: Vec<Time> = pristine.frames.iter().map(|f| f.bound).collect();
+
+        let scenario = FailureScenario::CableCut { a: s1, b: s2 };
+        let verdict = analysis.assess(&scenario).unwrap();
+        let cold = analysis.cold_verdict(&scenario).unwrap();
+        assert_eq!(divergence(&verdict, &cold), None);
+        assert_eq!(verdict.rerouted, vec![a]);
+        assert!(verdict.survivor_schedulable);
+        // Only `a` touches the cut; `b`'s shard joins through the reroute.
+        assert_eq!(verdict.reverified, 2);
+        // `b` now sees `a`'s interference, so its cached bound is stale.
+        assert_ne!(verdict.bounds[&b], pristine);
     }
 
     #[test]

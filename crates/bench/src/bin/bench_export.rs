@@ -284,7 +284,7 @@ fn main() {
 
     // B3c — the E16 survivability sweep on the small ring: every single
     // failure assessed incrementally and cross-checked cold.  The counters
-    // pin the work the warm path does (flows re-verified, per-flow
+    // pin the work the incremental path does (flows re-verified, per-flow
     // analyses, rounds) and that it never diverges from the cold oracle.
     {
         let ring = resilience_scenario(RESILIENCE_BENCH_SEED, &ResilienceConfig::tiny());

@@ -6,9 +6,10 @@
 //! ring-of-cells metro workload and a corpus of fuzz scenarios, through
 //! *both* assessment paths:
 //!
-//! * the incremental path (`SurvivabilityAnalysis::assess`): release the
-//!   affected shards from a warm admission controller, rebase onto the
-//!   survivor topology and re-admit the re-routed flows shard-scoped;
+//! * the incremental path (`SurvivabilityAnalysis::assess`): one cold
+//!   analysis of the shards the failure and its reroutes reach, on the
+//!   survivor topology, with every other flow's report kept from the warm
+//!   preload;
 //! * the cold oracle (`SurvivabilityAnalysis::cold_verdict`): re-analyse
 //!   the re-routed survivor set from scratch.
 //!

@@ -1,18 +1,44 @@
 //! Property tests of the failure-and-recovery subsystem: for every
 //! single-failure scenario of a ring-of-cells workload — each cable cut,
 //! each switch CPU degradation — the *incremental* survivability verdict
-//! (release the affected shards from a warm admission controller, rebase
-//! onto the survivor topology, re-admit the re-routed flows shard-scoped)
-//! must be **byte-identical** to a cold from-scratch analysis of the
-//! re-routed survivor set: same schedulability verdict, same stranded set,
-//! same margin, same per-flow per-frame bounds.  Checked across worker
-//! threads (1 and 4) and round skipping (on and off).
+//! (one cold analysis of the shards the failure and its reroutes reach,
+//! every other flow's report kept from the warm preload) must be
+//! **byte-identical** to a cold from-scratch analysis of the re-routed
+//! survivor set: same schedulability verdict, same stranded set, same
+//! margin, same per-flow per-frame bounds.  Checked across worker threads
+//! (1 and 4) and round skipping (on and off).
+//!
+//! The incremental path rests on shard independence, tested here on its
+//! own: a cold analysis of a flow set bounds every flow exactly as the cold
+//! analysis of its shard alone does.
 
 use gmfnet::analysis::{
-    divergence, single_failure_scenarios, AnalysisConfig, DependencyGraph, SurvivabilityAnalysis,
+    analyze, divergence, single_failure_scenarios, AnalysisConfig, DependencyGraph, FlowReport,
+    SurvivabilityAnalysis,
 };
-use gmfnet::workloads::{resilience_scenario, ResilienceConfig};
+use gmfnet::model::{FlowId, Time};
+use gmfnet::net::{FlowSet, Topology};
+use gmfnet::workloads::{resilience_scenario, valid_scenario, FuzzConfig, ResilienceConfig};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// Shard independence: a cold analysis of `flows` bounds every flow
+/// exactly as a cold analysis of its shard alone does.
+fn assert_shard_independent(topology: &Topology, flows: &FlowSet, config: &AnalysisConfig) {
+    let bounds = |set: &FlowSet| -> BTreeMap<FlowId, Vec<Time>> {
+        let report = analyze(topology, set, config).unwrap();
+        assert!(report.schedulable, "{:?}", report.failure);
+        let frames = |f: &FlowReport| f.frames.iter().map(|b| b.bound).collect();
+        report.flows.iter().map(|f| (f.flow, frames(f))).collect()
+    };
+    let partition = DependencyGraph::new(flows);
+    let union: BTreeMap<FlowId, Vec<Time>> = partition
+        .shards()
+        .into_iter()
+        .flat_map(|shard| bounds(&flows.subset(partition.shard_flows(shard).unwrap().to_vec())))
+        .collect();
+    assert_eq!(bounds(flows), union);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
@@ -77,6 +103,20 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Shard independence on fuzz scenarios and on ring workloads.
+    #[test]
+    fn cold_bounds_are_the_union_of_per_shard_cold_bounds(seed in 0u64..1_000_000) {
+        let config = FuzzConfig::default();
+        let (fuzz, _) = valid_scenario(seed, &config);
+        assert_shard_independent(&fuzz.topology, &fuzz.flows, &config.analysis);
+        let ring = resilience_scenario(seed, &ResilienceConfig::tiny());
+        assert_shard_independent(&ring.topology, &ring.flows, &AnalysisConfig::paper());
     }
 }
 
