@@ -33,7 +33,8 @@
 //! ([`DenseJitters::flow_slots`], [`DenseJitters::load_flow`]).
 //! Every value it stores or computes is obtained by the same arithmetic, in
 //! the same order, as the keyed stage implementations, so bounds are
-//! byte-identical (property-tested against the keyed reference engine in
+//! byte-identical (property-tested against the keyed reference engine,
+//! `gmf_bench::oracle::analyze_reference`, in
 //! `tests/dense_engine_properties.rs`).
 
 use crate::context::{JitterMap, ResourceId};

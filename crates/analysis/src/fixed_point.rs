@@ -163,7 +163,7 @@ pub(crate) struct Scope<'s> {
 struct FlowCache {
     report: Arc<FlowReport>,
     /// Frame-major, stage-minor accumulated jitters (the dense form of
-    /// [`crate::pipeline::JitterAssignments`]).
+    /// the keyed `JitterAssignments` of the `gmf_bench::oracle` walk).
     assignments: Vec<Vec<Time>>,
 }
 
@@ -536,7 +536,6 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::analyze_flow;
     use gmf_model::{cbr_flow, paper_figure3_flow, voip_flow, FlowId, VoiceCodec};
     use gmf_net::{paper_figure1, shortest_path, Priority};
 
@@ -715,14 +714,14 @@ mod tests {
     fn holistic_bounds_dominate_first_round_bounds() {
         // Jitter propagation can only increase bounds, so the converged
         // bounds must dominate a single-round analysis with source jitters
-        // only.
+        // only (a one-round run that does not converge reports its round-1
+        // evaluation).
         let (t, fs) = paper_scenario();
-        let ctx = AnalysisContext::new(&t, &fs).unwrap();
         let config = AnalysisConfig::paper();
-        let first_round = JitterMap::initial(&fs);
+        let first_round = analyze(&t, &fs, &config.with_max_holistic_iterations(1)).unwrap();
         let report = analyze(&t, &fs, &config).unwrap();
         for binding in fs.bindings() {
-            let (round1, _) = analyze_flow(&ctx, &first_round, &config, binding.id).unwrap();
+            let round1 = &first_round.flow(binding.id).unwrap().frames;
             let converged = &report.flow(binding.id).unwrap().frames;
             for (a, b) in round1.iter().zip(converged) {
                 assert!(

@@ -3,12 +3,12 @@
 //!
 //! The stage recurrences ((15), (17), (22), (24), (29), (31)) all have the
 //! shape `x = base ⊕ Σ_j g(x + extra_j)` where `g` is a request bound of
-//! one interferer.  The keyed engine evaluates them through
-//! [`crate::busy_period::fixed_point`] with a closure per call site; the
-//! closures capture `Vec`s of `(demand, extra)` pairs and re-derive the
-//! `O(n³)` closed-form `MX`/`NX` on every iteration.  This module is the
-//! production replacement: the three solvers below walk flat slices of
-//! resolved [`Term`]s against the context's precompiled
+//! one interferer.  The keyed engine (`gmf_bench::oracle`) evaluates them
+//! through [`crate::busy_period::fixed_point`] with a closure per call
+//! site; the closures capture `Vec`s of `(demand, extra)` pairs and
+//! re-derive the `O(n³)` closed-form `MX`/`NX` on every iteration.  This
+//! module is the production replacement: the three solvers below walk
+//! flat slices of resolved [`Term`]s against the context's precompiled
 //! [`DemandTable`]s — no closure dispatch, no allocation, only saturating
 //! ops and one binary search per table lookup.
 //!

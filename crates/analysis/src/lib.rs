@@ -13,13 +13,12 @@
 //! Ethernet frame of the packet has been received at the destination) and
 //! compares it against the frame's deadline:
 //!
-//! * [`first_hop::first_hop_response`] — the source's work-conserving
-//!   output queue and first link (paper eqs. 14–20);
-//! * [`ingress::ingress_response`] — the switch routing task under
-//!   round-robin stride scheduling (eqs. 21–27);
-//! * [`egress::egress_response`] — the prioritized output queue, the send
-//!   task and the link (eqs. 28–35);
-//! * [`pipeline::analyze_frame`] — the end-to-end composition of Figure 6;
+//! * the three per-resource analyses, each a dense stage evaluated over
+//!   precompiled demand tables: the source's work-conserving output queue
+//!   and first link (paper eqs. 14–20), the switch routing task under
+//!   round-robin stride scheduling (eqs. 21–27), and the prioritized
+//!   output queue, send task and link (eqs. 28–35), composed end to end
+//!   as in Figure 6;
 //! * [`analyze`] — the holistic jitter fixed point over the whole flow
 //!   set, yielding an [`AnalysisReport`]; the iteration is the paper's
 //!   plain Picard scheme in Jacobi rounds, one thread per run
@@ -33,10 +32,11 @@
 //!   survivability sweep: one cold analysis of the shards a failure
 //!   reaches, the preload's cached reports for the rest;
 //! * [`baseline`] — the sporadic-collapse and utilization-only baselines
-//!   used for comparison experiments;
-//! * [`reference::analyze_reference`] — the deliberately simple keyed
-//!   Picard oracle the dense-index production engine is property-tested
-//!   against.
+//!   used for comparison experiments.
+//!
+//! This is the one analysis engine.  The literal keyed transcription of
+//! eqs. 14–35 that it is property-tested against lives in test support,
+//! as `gmf_bench::oracle`.
 //!
 //! ```
 //! use gmf_analysis::prelude::*;
@@ -66,18 +66,16 @@ pub mod config;
 pub mod context;
 pub(crate) mod dense;
 pub mod deps;
-pub mod egress;
+pub(crate) mod egress;
 pub mod error;
-pub mod first_hop;
+pub(crate) mod first_hop;
 pub mod fixed_point;
 pub(crate) mod index;
-pub mod ingress;
+pub(crate) mod ingress;
 pub(crate) mod kernel;
-pub mod pipeline;
-pub mod reference;
+pub(crate) mod pipeline;
 pub mod report;
 pub mod resilience;
-pub mod stage;
 
 pub use admission::{
     AdmissionController, AdmissionDecision, AdmissionRequest, AdmissionVictim, DecisionCost,
@@ -89,19 +87,13 @@ pub use baseline::{
 pub use config::AnalysisConfig;
 pub use context::{AnalysisContext, JitterMap, ResourceId};
 pub use deps::{DependencyGraph, ShardId};
-pub use egress::egress_response;
 pub use error::{AnalysisError, StageKind};
-pub use first_hop::first_hop_response;
 pub use fixed_point::{analyze, iterate_from, ConvergenceTrace, FixedPointRun, RoundTrace};
-pub use ingress::ingress_response;
-pub use pipeline::{analyze_flow, analyze_frame, hop_sum_matches, JitterAssignments};
-pub use reference::analyze_reference;
-pub use report::{AnalysisReport, FlowReport, FrameBound, HopBound};
+pub use report::{hop_sum_matches, AnalysisReport, FlowReport, FrameBound, HopBound};
 pub use resilience::{
     divergence, single_failure_scenarios, ColdVerdict, FailureScenario, FailureVerdict,
     SurvivabilityAnalysis, SurvivabilityReport,
 };
-pub use stage::StageResult;
 
 /// Convenient glob import of the most frequently used items.
 pub mod prelude {
@@ -113,7 +105,6 @@ pub mod prelude {
     pub use crate::context::{AnalysisContext, JitterMap, ResourceId};
     pub use crate::deps::{DependencyGraph, ShardId};
     pub use crate::fixed_point::{analyze, ConvergenceTrace};
-    pub use crate::pipeline::{analyze_flow, analyze_frame};
     pub use crate::report::{AnalysisReport, FlowReport, FrameBound, HopBound};
     pub use crate::resilience::{
         single_failure_scenarios, FailureScenario, FailureVerdict, SurvivabilityAnalysis,

@@ -106,6 +106,14 @@ impl FrameBound {
     }
 }
 
+/// Sanity helper used in tests and experiments: the sum of a frame's
+/// per-hop responses plus its source jitter must equal its end-to-end
+/// bound.
+pub fn hop_sum_matches(bound: &FrameBound) -> bool {
+    let total: Time = bound.hops.iter().map(|h| h.response).sum();
+    (total + bound.source_jitter).approx_eq(bound.bound)
+}
+
 /// All frame bounds of one flow.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlowReport {

@@ -1,9 +1,10 @@
 //! `bench_export` — machine-readable benchmark medians and analysis cost
 //! counters for the CI perf trajectory.
 //!
-//! Runs a curated set of the workspace's benchmark bodies (the same
-//! workloads as the Criterion benches B1–B4) a handful of times each and
-//! writes `BENCH.json`:
+//! Times a curated set of production workloads (request-bound functions,
+//! the holistic analysis, admission churn and metro admission, the
+//! survivability sweep, the simulator and the tightness atlas) a handful
+//! of times each and writes `BENCH.json`:
 //!
 //! ```json
 //! { "schema": 3,
@@ -32,9 +33,7 @@
 //! Usage: `bench_export [OUTPUT_PATH] [--baseline PATH]` (default output
 //! `BENCH.json`).  Sample count: `GMF_BENCH_EXPORT_SAMPLES` (default 7).
 
-use gmf_analysis::{
-    analyze, first_hop_response, iterate_from, AnalysisConfig, AnalysisContext, JitterMap,
-};
+use gmf_analysis::{analyze, iterate_from, AnalysisConfig, AnalysisContext, JitterMap};
 use gmf_bench::atlas::{tightness_atlas, AtlasConfig};
 use gmf_bench::{
     churn_bench_config, long_tail_bench_scenario, median_ns, metro_bench_config,
@@ -43,9 +42,7 @@ use gmf_bench::{
     HOLISTIC_THREAD_AXIS, METRO_BENCH_SEED, METRO_SMALL_BATCHES, METRO_SMALL_BATCH_SIZE,
     METRO_TIGHT_FRACTION, RESILIENCE_BENCH_SEED, RESILIENCE_DEGRADE_FACTORS,
 };
-use gmf_model::{
-    paper_figure3_flow, BitRate, DemandTable, EncapsulationConfig, FlowId, LinkDemand, Time,
-};
+use gmf_model::{paper_figure3_flow, BitRate, DemandTable, EncapsulationConfig, LinkDemand, Time};
 use gmf_workloads::{paper_scenario, resilience_scenario, run_churn, ResilienceConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -89,7 +86,7 @@ fn main() {
         results.insert(name.to_string(), ns);
     };
 
-    // B1 — request-bound functions.
+    // Request-bound functions.
     let flow = paper_figure3_flow("video", Time::from_millis(150.0), Time::from_millis(1.0));
     let encapsulation = EncapsulationConfig::paper();
     let speed = BitRate::from_mbps(10.0);
@@ -113,22 +110,10 @@ fn main() {
         }),
     );
 
-    // B2 — one per-resource analysis.
-    let (scenario, ids) = paper_scenario();
-    let ctx = AnalysisContext::new(&scenario.topology, &scenario.flows).unwrap();
-    let jitters = JitterMap::initial(&scenario.flows);
+    let (scenario, _) = paper_scenario();
     let paper_config = AnalysisConfig::paper();
-    let video = FlowId(ids.video);
-    record(
-        "first_hop_ip_frame",
-        median_ns(samples, || {
-            black_box(
-                first_hop_response(&ctx, &jitters, &paper_config, black_box(video), 0).unwrap(),
-            );
-        }),
-    );
 
-    // B3 — full holistic analysis: paper scenario, synthetic size axis,
+    // Full holistic analysis: paper scenario, synthetic size axis,
     // worker-thread axis, and the long-tail workload.
     record(
         "holistic_paper_scenario",
@@ -173,7 +158,7 @@ fn main() {
         }),
     );
 
-    // B3b — the dense core's cost counters: holistic rounds and per-flow
+    // The dense core's cost counters: holistic rounds and per-flow
     // analyses per cold analyze, with dirty-flow skipping off and on.
     // These are deterministic (identical on every machine and at every
     // thread count) — the hard half of the perf-smoke gate.
@@ -222,8 +207,8 @@ fn main() {
         }
     }
 
-    // B5 — admission churn through the incremental admission controller
-    // on the shared churn script (same workload as the Criterion
+    // Admission churn through the incremental admission controller
+    // on the shared churn script (same workload as E11's
     // `churn_admission` bench and E11).
     let churn = churn_bench_config();
     record(
@@ -237,7 +222,7 @@ fn main() {
         }),
     );
 
-    // B6 — metro-scale sharded admission on the small instance (same
+    // Metro-scale sharded admission on the small instance (same
     // definition as E14's full-scale run): one timing for the whole
     // preload + batch + release cycle, plus the deterministic shard and
     // cost counters that must be bit-identical on every machine.
@@ -282,7 +267,7 @@ fn main() {
         }
     }
 
-    // B3c — the E16 survivability sweep on the small ring: every single
+    // The E16 survivability sweep on the small ring: every single
     // failure assessed incrementally and cross-checked cold.  The counters
     // pin the work the incremental path does (flows re-verified, per-flow
     // analyses, rounds) and that it never diverges from the cold oracle.
@@ -310,7 +295,7 @@ fn main() {
         }
     }
 
-    // B4 — simulator throughput.  The event count is deterministic and
+    // Simulator throughput.  The event count is deterministic and
     // pinned by the `sim/*` counters below, so the timing gate on this
     // entry *is* an events/sec gate: ns-per-event regressing past the
     // calibrated tolerance fails the perf smoke even though raw wall time
@@ -361,7 +346,7 @@ fn main() {
         );
     }
 
-    // B7 — the tightness atlas (E17) on a small corpus: one timing for the
+    // The tightness atlas (E17) on a small corpus: one timing for the
     // analysis + long-horizon simulation sweep, plus deterministic
     // percentile counters.  The permille columns are integer ratios of
     // integer histogram edges, so they are bit-identical everywhere; the

@@ -11,14 +11,13 @@
 //!   active flow, every round — the classic Jacobi cost `rounds × flows`)
 //!   vs skipping on;
 //! * a byte-identity check of each engine configuration against the keyed
-//!   reference oracle (`analyze_reference`).
+//!   reference oracle (`gmf_bench::oracle::analyze_reference`).
 //!
 //! Everything on stdout is deterministic (CI diffs repeated runs and
 //! `--threads 1` vs `4`); wall-clock measurements go to stderr.
 
-use gmf_analysis::{
-    analyze_reference, iterate_from, AnalysisConfig, AnalysisContext, FixedPointRun, JitterMap,
-};
+use gmf_analysis::{iterate_from, AnalysisConfig, AnalysisContext, FixedPointRun, JitterMap};
+use gmf_bench::oracle::analyze_reference;
 use gmf_bench::{
     long_tail_bench_scenario, mixed_depth_line_scenario, multi_sink_star_set, print_header,
     print_table, synthetic_converging_set, threads_flag,

@@ -1,4 +1,5 @@
-//! Shared helpers for the experiment binaries and Criterion benches.
+//! Shared helpers for the experiment binaries and `bench_export`, plus
+//! the keyed test [`oracle`].
 //!
 //! Every experiment binary (`src/bin/exp_*.rs`) regenerates one figure,
 //! worked example or claim of the paper (see DESIGN.md §6 and
@@ -10,6 +11,31 @@
 
 pub mod atlas;
 pub mod conformance;
+mod egress;
+mod first_hop;
+mod ingress;
+mod pipeline;
+mod reference;
+mod stage;
+
+/// The keyed transcription of the paper's analysis (eqs. 14–35, Figure 6
+/// and the holistic Picard iteration): the oracle that the production
+/// engine, `gmf_analysis::analyze`, is tested against.
+///
+/// Every function reads the keyed [`gmf_analysis::JitterMap`] and
+/// re-solves every recurrence for every frame, exactly as the equations
+/// are printed; none of it runs in production.  The property tests and
+/// `exp_dense_cost` assert that the dense engine's reports are
+/// byte-identical to [`oracle::analyze_reference`].  Each stage sits in a
+/// private module named like its dense twin in `gmf-analysis`.
+pub mod oracle {
+    pub use crate::egress::egress_response;
+    pub use crate::first_hop::first_hop_response;
+    pub use crate::ingress::ingress_response;
+    pub use crate::pipeline::{analyze_flow, analyze_frame, JitterAssignments};
+    pub use crate::reference::analyze_reference;
+    pub use crate::stage::StageResult;
+}
 
 /// Print a named experiment header.
 pub fn print_header(id: &str, title: &str) {
@@ -233,10 +259,8 @@ pub const HOLISTIC_THREAD_AXIS: [usize; 3] = [1, 2, 4];
 /// The random converging star set the holistic benches time (seed 99,
 /// 40 % offered utilization on the sweep generator).
 ///
-/// Both `benches/holistic.rs` and the `bench_export` binary call this, so
-/// a `holistic_synthetic/N` or `holistic_threads/N` entry in `BENCH.json`
-/// always times exactly the workload the Criterion bench of the same name
-/// times — retuning the workload here retunes both surfaces together.
+/// The `bench_export` binary times it as the `holistic_synthetic/N` and
+/// `holistic_threads/N` entries of `BENCH.json`.
 pub fn synthetic_converging_set(n_flows: usize) -> (gmf_net::Topology, gmf_net::FlowSet) {
     gmf_workloads::random_sweep_set(99, n_flows, 0.4, &gmf_workloads::SweepConfig::default())
 }
@@ -286,14 +310,13 @@ pub fn long_tail_bench_scenario() -> (gmf_net::Topology, gmf_net::FlowSet) {
     long_tail_line_scenario(6, 6)
 }
 
-/// The churn workload the `churn_admission` bench, `bench_export`
-/// and E11 (`exp_admission_churn`) all replay: arrivals and departures on
-/// the sweep's converging star, sized so the live set stays around a
-/// dozen flows.
+/// The churn workload `bench_export` and E11 (`exp_admission_churn`)
+/// both replay: arrivals and departures on the sweep's converging star,
+/// sized so the live set stays around a dozen flows.
 ///
-/// A single definition keeps the three surfaces honest: a
+/// A single definition keeps the two surfaces honest: a
 /// `churn_admission/cold-vs-warm` entry in `BENCH.json` always times
-/// exactly the script the Criterion bench and the experiment binary run.
+/// exactly the script the experiment binary runs.
 pub fn churn_bench_config() -> gmf_workloads::ChurnConfig {
     gmf_workloads::ChurnConfig {
         n_events: 64,
@@ -621,8 +644,7 @@ pub fn run_survivability_sweep(
 /// runs (fast bodies are batched so each sample spans at least ~100 µs).
 ///
 /// This is the measurement behind the `bench_export` binary: a handful of
-/// samples and a median is enough for a CI trajectory without criterion's
-/// statistical machinery.
+/// samples and a median is enough for a CI trajectory.
 pub fn median_ns<F: FnMut()>(samples: usize, mut f: F) -> u64 {
     use std::time::Instant;
     let samples = samples.max(1);

@@ -5,7 +5,7 @@
 //! [`analyze_reference`] is the paper's plain sequential Picard scheme
 //! built from the boundary-level pieces that never went dense: the keyed
 //! [`JitterMap`] (tree-map probes and all) and the per-frame keyed stage
-//! walk [`crate::pipeline::analyze_flow`].  It performs no parallelism, no
+//! walk [`crate::oracle::analyze_flow`].  It performs no parallelism, no
 //! warm starts and no round skipping — every flow is re-analysed from the
 //! keyed map every round.
 //!
@@ -16,12 +16,12 @@
 //! [`AnalysisReport`] byte-identical to this one on random workloads.
 //! Keep it slow and transparent; do not optimise it.
 
-use crate::config::AnalysisConfig;
-use crate::context::{AnalysisContext, JitterMap};
-use crate::error::AnalysisError;
-use crate::fixed_point::{ConvergenceTrace, RoundTrace};
 use crate::pipeline::analyze_flow;
-use crate::report::{AnalysisReport, FlowReport};
+use gmf_analysis::config::AnalysisConfig;
+use gmf_analysis::context::{AnalysisContext, JitterMap};
+use gmf_analysis::error::AnalysisError;
+use gmf_analysis::fixed_point::{ConvergenceTrace, RoundTrace};
+use gmf_analysis::report::{AnalysisReport, FlowReport};
 use gmf_model::Time;
 use gmf_net::{FlowSet, Topology};
 
@@ -29,7 +29,7 @@ use gmf_net::{FlowSet, Topology};
 /// Picard; `config.threads` and `config.skip_unchanged_flows` are
 /// deliberately ignored).
 ///
-/// Returns exactly what [`crate::fixed_point::analyze`] returns for a Picard
+/// Returns exactly what [`gmf_analysis::analyze`] returns for a Picard
 /// run — including the iteration count, the per-round residual trace and
 /// the failure attribution.
 pub fn analyze_reference(
@@ -144,7 +144,7 @@ pub fn analyze_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixed_point::analyze;
+    use gmf_analysis::analyze;
     use gmf_model::{paper_figure3_flow, voip_flow, VoiceCodec};
     use gmf_net::{paper_figure1, shortest_path, Priority};
 

@@ -15,13 +15,14 @@
 //! scenario-file JSON — ready to be committed as the next corpus case
 //! (see the corpus README).
 //!
-//! A second property pins `reference::analyze_reference == analyze` on
+//! A second property pins `oracle::analyze_reference == analyze` on
 //! the fuzz distribution (tree/multi-switch topologies the sweep- and
 //! churn-style property sets never draw), across worker threads 1/4 and
 //! round skipping on/off.
 
 use gmf_bench::conformance::{check_scenario, minimize_violation, ConformanceConfig};
-use gmfnet::analysis::{analyze, analyze_reference, AnalysisConfig};
+use gmf_bench::oracle::analyze_reference;
+use gmfnet::analysis::{analyze, AnalysisConfig};
 use gmfnet::workloads::{draw_scenario, valid_scenario, FuzzConfig, ScenarioFile};
 use proptest::prelude::*;
 use std::path::PathBuf;

@@ -2,7 +2,7 @@
 //! tables, the arena iterates, the Arc-shared reports and the dirty-flow
 //! round skipping must all be invisible in the results.
 //!
-//! The oracle is [`gmfnet::analysis::analyze_reference`] — a deliberately
+//! The oracle is [`gmf_bench::oracle::analyze_reference`] — a deliberately
 //! simple sequential keyed Picard engine that shares no hot-path code with
 //! the production engine (tree-map jitter reads, per-frame stage walks,
 //! no memoisation).  On random sweep-style and churn-style flow sets:
@@ -16,7 +16,8 @@
 
 mod support;
 
-use gmfnet::analysis::{analyze, analyze_reference, AnalysisConfig};
+use gmf_bench::oracle::analyze_reference;
+use gmfnet::analysis::{analyze, AnalysisConfig};
 use gmfnet::net::{FlowSet, Topology};
 use gmfnet::workloads::{random_sweep_set, SweepConfig};
 use proptest::prelude::*;

@@ -10,7 +10,7 @@
 //!     are identical; warm (shard-scoped) trial reports are bytewise
 //!     projections of the cold (global) reports; the final accepted sets
 //!     are equal; and the final bounds also equal the deliberately simple
-//!     [`gmfnet::analysis::analyze_reference`] oracle, which shares no
+//!     [`gmf_bench::oracle::analyze_reference`] oracle, which shares no
 //!     hot-path code with the production engine;
 //! (b) an accepted bridge merges every shard its route touches
 //!     (merge-on-bridge), a rejection leaves the partition untouched, and
@@ -21,9 +21,8 @@
 
 mod support;
 
-use gmfnet::analysis::{
-    analyze_reference, AdmissionController, AdmissionRequest, AnalysisConfig, DependencyGraph,
-};
+use gmf_bench::oracle::analyze_reference;
+use gmfnet::analysis::{AdmissionController, AdmissionRequest, AnalysisConfig, DependencyGraph};
 use gmfnet::net::{FlowSet, Topology};
 use gmfnet::workloads::{random_sweep_set, SweepConfig};
 use proptest::prelude::*;
