@@ -4,12 +4,13 @@
 //! (31)) has the form `x = f(x)` where `f` is monotone non-decreasing in
 //! `x` (interference can only grow when the window grows).  Starting from a
 //! seed below the least fixed point and iterating therefore converges to
-//! the least fixed point, diverges beyond any bound (overload), or — purely
-//! numerically — oscillates within floating-point noise.  [`fixed_point`]
-//! handles all three cases: it converges when two successive iterates agree
-//! within [`gmf_model::units::TIME_RELATIVE_EPSILON`], reports
-//! [`FixedPointOutcome::ExceededHorizon`] when the iterate passes the
-//! configured horizon, and gives up after a configured iteration budget.
+//! the least fixed point or diverges beyond any bound (overload).  Times
+//! are integer ticks and `f` is piecewise constant between floor/ceil
+//! breakpoints, so a convergent iteration reaches the fixed point
+//! *exactly*.  [`fixed_point`] converges when two successive iterates are
+//! equal, reports [`FixedPointOutcome::ExceededHorizon`] when the iterate
+//! passes the configured horizon or saturates at [`Time::MAX`], and gives
+//! up after a configured iteration budget.
 
 use gmf_model::Time;
 
@@ -54,21 +55,21 @@ pub fn fixed_point(
             return FixedPointOutcome::ExceededHorizon { last: current };
         }
         let next = f(current);
-        // A non-finite iterate means a request-bound term overflowed the
+        // A saturated iterate means a request-bound term overflowed the
         // representable range; the true fixed point (if any) is beyond every
-        // horizon, so report a loud divergence instead of iterating on inf
-        // or NaN.  This keeps overflow deterministic in every build profile.
-        if !next.is_finite() {
+        // horizon, so report a loud divergence even when the horizon is
+        // `Time::MAX` itself.
+        if next == Time::MAX {
             return FixedPointOutcome::ExceededHorizon { last: Time::MAX };
         }
-        if next.approx_eq(current) {
+        if next == current {
             return FixedPointOutcome::Converged(next);
         }
         // Monotonicity sanity check: the recurrences of the paper never
         // shrink once started from a valid seed.  A decrease indicates a
         // bug in a request-bound function, so fail loudly in debug builds.
         debug_assert!(
-            next >= current || next.approx_eq(current),
+            next > current,
             "fixed-point iterate decreased from {current} to {next}"
         );
         current = next;
@@ -87,7 +88,7 @@ mod tests {
             Time::from_secs(1.0) + x * 0.5
         });
         let value = outcome.converged().expect("must converge");
-        assert!(value.approx_eq(Time::from_secs(2.0)));
+        assert_eq!(value, Time::from_secs(2.0));
     }
 
     #[test]
@@ -112,8 +113,7 @@ mod tests {
     #[test]
     fn exhausts_iteration_budget_on_slow_convergence() {
         // Converges to 2 but needs more iterations than allowed because each
-        // step only closes 1% of the remaining gap (far slower than the
-        // epsilon tolerance within 3 iterations).
+        // step only closes 1% of the remaining gap.
         let outcome = fixed_point(Time::ZERO, Time::from_secs(100.0), 3, |x| {
             x + (Time::from_secs(2.0) - x) * 0.01
         });
@@ -132,6 +132,6 @@ mod tests {
             let jobs = (r.as_secs() / 4.0).ceil().max(1.0);
             Time::from_secs(2.0) + Time::from_secs(jobs)
         });
-        assert!(outcome.converged().unwrap().approx_eq(Time::from_secs(3.0)));
+        assert_eq!(outcome.converged(), Some(Time::from_secs(3.0)));
     }
 }

@@ -130,14 +130,12 @@ impl JitterMap {
 
     /// Walk `self` and `other` in one merged key-ordered pass, calling
     /// `visit` with each key's value pair (an empty slice stands in for a
-    /// missing entry).  Stops early when `visit` returns `false`.
+    /// missing entry).
     ///
     /// Both maps are `BTreeMap`s, so their iterators are already sorted:
     /// the classic two-pointer merge visits every key of the union exactly
-    /// once without materialising a key-union set (the previous
-    /// implementation collected the full union into a fresh `BTreeSet` —
-    /// twice per holistic round).
-    fn merged_walk(&self, other: &JitterMap, mut visit: impl FnMut(&[Time], &[Time]) -> bool) {
+    /// once without materialising a key-union set.
+    fn merged_walk(&self, other: &JitterMap, mut visit: impl FnMut(&[Time], &[Time])) {
         let mut a = self.values.iter().peekable();
         let mut b = other.values.iter().peekable();
         loop {
@@ -168,30 +166,8 @@ impl JitterMap {
                 }
                 (None, None) => return,
             };
-            if !visit(va, vb) {
-                return;
-            }
+            visit(va, vb);
         }
-    }
-
-    /// `true` if every entry of `self` equals the corresponding entry of
-    /// `other` within the convergence tolerance.  Entries missing from one
-    /// side are treated as zero.
-    pub fn approx_eq(&self, other: &JitterMap) -> bool {
-        let mut equal = true;
-        self.merged_walk(other, |a, b| {
-            let len = a.len().max(b.len());
-            for idx in 0..len {
-                let va = a.get(idx).copied().unwrap_or(Time::ZERO);
-                let vb = b.get(idx).copied().unwrap_or(Time::ZERO);
-                if !va.approx_eq(vb) {
-                    equal = false;
-                    return false;
-                }
-            }
-            true
-        });
-        equal
     }
 
     /// The largest absolute componentwise difference between `self` and
@@ -207,7 +183,6 @@ impl JitterMap {
                 let diff = if va >= vb { va - vb } else { vb - va };
                 worst = worst.max(diff);
             }
-            true
         });
         worst
     }
@@ -536,14 +511,14 @@ mod tests {
         assert_eq!(map.get(FlowId(1), resource, 0), Time::ZERO);
 
         let map2 = map.clone();
-        assert!(map.approx_eq(&map2));
+        assert!(map.max_abs_diff(&map2).is_zero());
         let mut map3 = map.clone();
         map3.set(FlowId(0), resource, 2, Time::from_millis(4.0), 9);
-        assert!(!map.approx_eq(&map3));
-        // A map with an extra all-zero entry is still approx-equal.
+        assert_eq!(map.max_abs_diff(&map3), Time::from_millis(1.0));
+        // A map with an extra all-zero entry reads the same.
         let mut map4 = map.clone();
         map4.set(FlowId(1), resource, 0, Time::ZERO, 1);
-        assert!(map.approx_eq(&map4));
+        assert!(map.max_abs_diff(&map4).is_zero());
         assert!(map.iter().count() >= 2);
     }
 

@@ -571,7 +571,7 @@ impl DenseJitters {
     pub fn set(&mut self, plan: &DensePlan, pair: u32, frame: usize, value: Time) {
         let idx = ux(plan.pair_base[ux(pair)]) + frame;
         debug_assert!(
-            self.values[idx] <= value || self.values[idx].approx_eq(value),
+            self.values[idx] <= value,
             "dense jitter slot lowered from {} to {value}",
             self.values[idx]
         );
@@ -602,14 +602,6 @@ impl DenseJitters {
             .fold(Time::ZERO, Time::max);
     }
 
-    /// Componentwise approximate equality (the holistic convergence test).
-    pub fn approx_eq(&self, other: &DenseJitters) -> bool {
-        self.values
-            .iter()
-            .zip(&other.values)
-            .all(|(a, b)| a.approx_eq(*b))
-    }
-
     /// `‖self − other‖_∞` — the per-round residual.
     pub fn max_abs_diff(&self, other: &DenseJitters) -> Time {
         let mut worst = Time::ZERO;
@@ -620,10 +612,9 @@ impl DenseJitters {
         worst
     }
 
-    /// `true` if `self` and `other` are *exactly* equal on every slot of
-    /// every listed pair — the round-skipping test (exact equality, not the
-    /// convergence tolerance, so a skipped analysis is byte-identical by
-    /// construction).
+    /// `true` if `self` and `other` are equal on every slot of every listed
+    /// pair — the round-skipping test, so a skipped analysis is
+    /// byte-identical by construction.
     pub fn pairs_equal(&self, plan: &DensePlan, other: &DenseJitters, pairs: &[u32]) -> bool {
         pairs.iter().all(|&pair| {
             let range = plan.range(pair);
@@ -735,7 +726,7 @@ mod tests {
         // Keyed → dense → keyed is read-equivalent (zeros become explicit).
         let roundtrip = DenseJitters::from_keyed(plan, &fs, &keyed);
         assert_eq!(roundtrip, dense);
-        assert!(roundtrip.to_keyed(plan).approx_eq(&keyed));
+        assert!(roundtrip.to_keyed(plan).max_abs_diff(&keyed).is_zero());
     }
 
     #[test]
@@ -755,7 +746,7 @@ mod tests {
         let others: Vec<u32> = all.iter().copied().filter(|&p| p != pair).collect();
         assert!(a.pairs_equal(plan, &b, &others));
         assert!(a.max_abs_diff(&b) > Time::ZERO);
-        assert!(!a.approx_eq(&b));
+        assert_ne!(a, b);
         // Copying the pair back restores exact equality.
         let mut c = b.clone();
         c.copy_pair_from(plan, &a, pair);

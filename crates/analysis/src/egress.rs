@@ -96,13 +96,12 @@ impl EgressDense {
         let refine = config.refine_egress_own_frames;
         let own_frame_cost = mft + circ;
         let cycle_extra = if refine {
-            d_i.csum()
-                .saturating_add(own_frame_cost.saturating_mul(d_i.nsum()))
+            d_i.csum() + own_frame_cost * d_i.nsum()
         } else {
             d_i.csum()
         };
         let busy_seed = if refine {
-            own_frame_cost.saturating_mul(d_i.max_n_ethernet_frames())
+            own_frame_cost * d_i.max_n_ethernet_frames()
         } else {
             mft
         };
@@ -152,7 +151,7 @@ impl EgressDense {
         let single_blocking = if refine { own_frame_cost } else { mft };
         let w_start = w.len();
         for q in 0..instances {
-            let own = single_blocking.saturating_add(cycle_extra.saturating_mul(q));
+            let own = single_blocking + cycle_extra * q;
             let wq = match crate::kernel::solve_mx_nx(
                 tables,
                 resolved,
@@ -214,7 +213,7 @@ impl EgressDense {
         if !(config.refine_egress_own_frames && n_k > 1) {
             let mut worst = Time::ZERO;
             for (q, &wq) in scratch.w[self.w.clone()].iter().enumerate() {
-                let response = wq - self.tsum_i.saturating_mul(qw(q)) + c_k;
+                let response = wq - self.tsum_i * qw(q) + c_k;
                 worst = worst.max(response);
             }
             return Ok(worst + self.propagation);
@@ -224,10 +223,7 @@ impl EgressDense {
         let resolved = &scratch.terms[self.terms.clone()];
         let mut worst = Time::ZERO;
         for q in 0..self.instances {
-            let base = (self.mft + self.circ)
-                .saturating_mul(n_k)
-                .saturating_add(self.cycle_extra.saturating_mul(q))
-                + c_k;
+            let base = (self.mft + self.circ) * n_k + self.cycle_extra * q + c_k;
             let r = match crate::kernel::solve_mx_nx(
                 tables,
                 resolved,
@@ -254,7 +250,7 @@ impl EgressDense {
                     })
                 }
             };
-            worst = worst.max(r - self.tsum_i.saturating_mul(q));
+            worst = worst.max(r - self.tsum_i * q);
         }
         Ok(worst + self.propagation)
     }

@@ -156,7 +156,7 @@ impl FirstHopDense {
         let mut worst = Time::ZERO;
         for q in 0..instances {
             if first_hop_w.len() <= qx(q) {
-                let own = csum_i.saturating_mul(q);
+                let own = csum_i * q;
                 let w = match crate::kernel::solve_sum_mx(
                     tables,
                     others,
@@ -185,7 +185,7 @@ impl FirstHopDense {
                 first_hop_w.push(w);
             }
             // Equation (18).
-            let response = first_hop_w[qx(q)] - tsum_i.saturating_mul(q) + c_k;
+            let response = first_hop_w[qx(q)] - tsum_i * q + c_k;
             worst = worst.max(response);
         }
 

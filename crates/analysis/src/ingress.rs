@@ -130,7 +130,7 @@ impl IngressDense {
         // Queueing time per instance, equation (24).
         let w_start = w.len();
         for q in 0..instances {
-            let own = circ.saturating_mul(q.saturating_mul(own_rounds_per_cycle));
+            let own = circ * q.saturating_mul(own_rounds_per_cycle);
             let wq = match crate::kernel::solve_sum_nx(
                 tables,
                 others,
@@ -185,8 +185,7 @@ impl IngressDense {
         };
         let mut worst = Time::ZERO;
         for (q, &wq) in scratch.w[self.w.clone()].iter().enumerate() {
-            let response =
-                wq - self.tsum_i.saturating_mul(qw(q)) + self.circ.saturating_mul(own_rounds_final);
+            let response = wq - self.tsum_i * qw(q) + self.circ * own_rounds_final;
             worst = worst.max(response);
         }
         worst

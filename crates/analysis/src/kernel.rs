@@ -7,26 +7,21 @@
 //! through [`crate::busy_period::fixed_point`] with a closure per call
 //! site; the closures capture `Vec`s of `(demand, extra)` pairs and
 //! re-derive the `O(n³)` closed-form `MX`/`NX` on every iteration.  This
-//! module is the production replacement: the three solvers below walk
-//! flat slices of resolved [`Term`]s against the context's precompiled
-//! [`DemandTable`]s — no closure dispatch, no allocation, only saturating
-//! ops and one binary search per table lookup.
+//! module is the production replacement: the three solvers below drive the
+//! same [`fixed_point`] loop over flat slices of resolved [`Term`]s and the
+//! context's precompiled [`DemandTable`]s — no allocation, only saturating
+//! integer ops and one binary search per table lookup.
 //!
-//! Byte-identity with the keyed path is structural: each solver's loop is
-//! a literal transcription of [`crate::busy_period::fixed_point`] (same
-//! check order — horizon, body, finiteness, convergence, monotonicity
-//! debug assert, budget) and each body performs the same arithmetic in
-//! the same order as the closure it replaces, with [`DemandTable`]
-//! lookups that are bit-identical to the closed forms.  Where a keyed
-//! body had no explicit base (the first-hop/ingress busy periods start
-//! their fold at zero), the solvers pass [`Time::ZERO`], which is exact:
-//! `0.0 + x == x` for every finite IEEE 754 `x ≥ 0`.
+//! Identity with the keyed path follows from exactness: the table lookups
+//! equal the closed forms, and integer `Time` addition is associative, so
+//! the order in which the interference terms are summed cannot change a
+//! bound.
 //!
 //! All scratch storage lives in one [`KernelScratch`] arena owned by the
 //! fixed-point run and reset per flow, so the per-frame path performs no
 //! heap allocation at all.
 
-use crate::busy_period::FixedPointOutcome;
+use crate::busy_period::{fixed_point, FixedPointOutcome};
 use crate::dense::{DenseJitters, TermSpec};
 use crate::index::ux;
 use gmf_model::{DemandTable, Time};
@@ -89,7 +84,7 @@ impl KernelScratch {
         if add_blocking {
             self.terms.extend(specs.iter().map(|s| Term {
                 table: s.table,
-                extra: jitters.max_jitter(s.pair).saturating_add(s.blocking_c),
+                extra: jitters.max_jitter(s.pair) + s.blocking_c,
             }));
         } else {
             self.terms.extend(specs.iter().map(|s| Term {
@@ -101,10 +96,9 @@ impl KernelScratch {
     }
 }
 
-/// Least fixed point of `x = base ⊕ Σ_j MX_j(x + extra_j)`, the fold
-/// running left to right with saturating adds from `base` — the first-hop
-/// busy period (eq. 15, `base` zero) and queueing time (eq. 17, `base` the
-/// instance's own backlog) recurrences.
+/// Least fixed point of `x = base + Σ_j MX_j(x + extra_j)` — the
+/// first-hop busy period (eq. 15, `base` zero) and queueing time (eq. 17,
+/// `base` the instance's own backlog) recurrences.
 pub(crate) fn solve_sum_mx(
     tables: &[DemandTable],
     terms: &[Term],
@@ -113,31 +107,14 @@ pub(crate) fn solve_sum_mx(
     horizon: Time,
     max_iterations: usize,
 ) -> FixedPointOutcome {
-    let mut current = seed;
-    for _ in 0..max_iterations {
-        if current > horizon {
-            return FixedPointOutcome::ExceededHorizon { last: current };
-        }
-        let mut next = base;
-        for term in terms {
-            next = next.saturating_add(tables[ux(term.table)].mx(current + term.extra));
-        }
-        if !next.is_finite() {
-            return FixedPointOutcome::ExceededHorizon { last: Time::MAX };
-        }
-        if next.approx_eq(current) {
-            return FixedPointOutcome::Converged(next);
-        }
-        debug_assert!(
-            next >= current || next.approx_eq(current),
-            "fixed-point iterate decreased from {current} to {next}"
-        );
-        current = next;
-    }
-    FixedPointOutcome::IterationBudgetExhausted { last: current }
+    fixed_point(seed, horizon, max_iterations, |current| {
+        terms.iter().fold(base, |next, term| {
+            next + tables[ux(term.table)].mx(current + term.extra)
+        })
+    })
 }
 
-/// Least fixed point of `x = base ⊕ CIRC · Σ_j NX_j(x + extra_j)` with the
+/// Least fixed point of `x = base + CIRC · Σ_j NX_j(x + extra_j)` with the
 /// round count accumulated in saturating `u64` — the switch-ingress busy
 /// period (eq. 22, `base` zero) and queueing time (eq. 24, `base` the
 /// instance's own rounds) recurrences.
@@ -150,36 +127,17 @@ pub(crate) fn solve_sum_nx(
     horizon: Time,
     max_iterations: usize,
 ) -> FixedPointOutcome {
-    let mut current = seed;
-    for _ in 0..max_iterations {
-        if current > horizon {
-            return FixedPointOutcome::ExceededHorizon { last: current };
-        }
-        let mut rounds: u64 = 0;
-        for term in terms {
-            rounds = rounds.saturating_add(tables[ux(term.table)].nx(current + term.extra));
-        }
-        let next = base.saturating_add(circ.saturating_mul(rounds));
-        if !next.is_finite() {
-            return FixedPointOutcome::ExceededHorizon { last: Time::MAX };
-        }
-        if next.approx_eq(current) {
-            return FixedPointOutcome::Converged(next);
-        }
-        debug_assert!(
-            next >= current || next.approx_eq(current),
-            "fixed-point iterate decreased from {current} to {next}"
-        );
-        current = next;
-    }
-    FixedPointOutcome::IterationBudgetExhausted { last: current }
+    fixed_point(seed, horizon, max_iterations, |current| {
+        let rounds = terms.iter().fold(0u64, |rounds, term| {
+            rounds.saturating_add(tables[ux(term.table)].nx(current + term.extra))
+        });
+        base + circ * rounds
+    })
 }
 
 /// Least fixed point of
-/// `x = base + Σ_j (MX_j(x + extra_j) ⊕ CIRC · NX_j(x + extra_j))` — the
-/// egress busy period and queueing recurrences (eqs. 29, 31).  The outer
-/// combination is a *plain* add, exactly as the keyed egress bodies write
-/// it; the interference fold saturates term by term.
+/// `x = base + Σ_j (MX_j(x + extra_j) + CIRC · NX_j(x + extra_j))` — the
+/// egress busy period and queueing recurrences (eqs. 29, 31).
 pub(crate) fn solve_mx_nx(
     tables: &[DemandTable],
     terms: &[Term],
@@ -189,40 +147,18 @@ pub(crate) fn solve_mx_nx(
     horizon: Time,
     max_iterations: usize,
 ) -> FixedPointOutcome {
-    let mut current = seed;
-    for _ in 0..max_iterations {
-        if current > horizon {
-            return FixedPointOutcome::ExceededHorizon { last: current };
-        }
-        let mut total = Time::ZERO;
-        for term in terms {
+    fixed_point(seed, horizon, max_iterations, |current| {
+        terms.iter().fold(base, |next, term| {
             let d = &tables[ux(term.table)];
             let window = current + term.extra;
-            total = total.saturating_add(
-                d.mx(window)
-                    .saturating_add(circ.saturating_mul(d.nx(window))),
-            );
-        }
-        let next = base + total;
-        if !next.is_finite() {
-            return FixedPointOutcome::ExceededHorizon { last: Time::MAX };
-        }
-        if next.approx_eq(current) {
-            return FixedPointOutcome::Converged(next);
-        }
-        debug_assert!(
-            next >= current || next.approx_eq(current),
-            "fixed-point iterate decreased from {current} to {next}"
-        );
-        current = next;
-    }
-    FixedPointOutcome::IterationBudgetExhausted { last: current }
+            next + d.mx(window) + circ * d.nx(window)
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::busy_period::fixed_point;
     use gmf_model::{
         paper_figure3_flow, voip_flow, BitRate, EncapsulationConfig, LinkDemand, VoiceCodec,
     };
@@ -269,7 +205,7 @@ mod tests {
         let expected = fixed_point(base, horizon, 10_000, |t| {
             let mut total = base;
             for term in &terms {
-                total = total.saturating_add(tables[ux(term.table)].mx(t + term.extra));
+                total += tables[ux(term.table)].mx(t + term.extra);
             }
             total
         });
@@ -282,7 +218,7 @@ mod tests {
             for term in &terms {
                 rounds = rounds.saturating_add(tables[ux(term.table)].nx(t + term.extra));
             }
-            base.saturating_add(circ.saturating_mul(rounds))
+            base + circ * rounds
         });
         let got = solve_sum_nx(&tables, &terms, circ, base, base, horizon, 10_000);
         assert_eq!(got, expected);
@@ -292,10 +228,7 @@ mod tests {
             for term in &terms {
                 let d = &tables[ux(term.table)];
                 let window = t + term.extra;
-                total = total.saturating_add(
-                    d.mx(window)
-                        .saturating_add(circ.saturating_mul(d.nx(window))),
-                );
+                total = total + d.mx(window) + circ * d.nx(window);
             }
             base + total
         });

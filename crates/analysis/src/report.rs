@@ -96,22 +96,20 @@ impl FrameBound {
         Some(observed / self.bound)
     }
 
-    /// `true` if `observed` does not exceed the bound, up to [`Time`]'s
-    /// relative epsilon (the conformance harness's per-frame soundness
-    /// check).  Simulated observations accumulate f64 release times, so a
-    /// strict comparison would flag spurious ~1e-14-relative "violations"
-    /// on observations that sit exactly on the bound.
+    /// `true` if `observed` does not exceed the bound (the conformance
+    /// harness's per-frame soundness check): an exact `<=`, since the
+    /// analysis and the simulator work on the same integer ticks.
     pub fn dominates(&self, observed: Time) -> bool {
-        observed <= self.bound || observed.approx_eq(self.bound)
+        observed <= self.bound
     }
 }
 
 /// Sanity helper used in tests and experiments: the sum of a frame's
 /// per-hop responses plus its source jitter must equal its end-to-end
-/// bound.
+/// bound exactly.
 pub fn hop_sum_matches(bound: &FrameBound) -> bool {
     let total: Time = bound.hops.iter().map(|h| h.response).sum();
-    (total + bound.source_jitter).approx_eq(bound.bound)
+    total + bound.source_jitter == bound.bound
 }
 
 /// All frame bounds of one flow.
@@ -283,7 +281,7 @@ mod tests {
     fn frame_bound_deadline_and_slack() {
         let ok = frame(40.0, 100.0);
         assert!(ok.meets_deadline());
-        assert!(ok.slack().approx_eq(Time::from_millis(60.0)));
+        assert_eq!(ok.slack(), Time::from_millis(60.0));
         let miss = frame(120.0, 100.0);
         assert!(!miss.meets_deadline());
         assert!(miss.slack().is_negative());
@@ -292,17 +290,14 @@ mod tests {
     #[test]
     fn tightness_is_observed_over_bound() {
         let f = frame(40.0, 100.0);
-        assert!((f.tightness(Time::from_millis(36.0)).unwrap() - 0.9).abs() < 1e-9);
-        assert!((f.tightness(Time::from_millis(40.0)).unwrap() - 1.0).abs() < 1e-9);
+        assert_eq!(f.tightness(Time::from_millis(36.0)), Some(0.9));
+        assert_eq!(f.tightness(Time::from_millis(40.0)), Some(1.0));
         // Above 1.0 is a violation; `dominates` draws the line.
         assert!(f.tightness(Time::from_millis(44.0)).unwrap() > 1.0);
         assert!(f.dominates(Time::from_millis(40.0)));
         assert!(!f.dominates(Time::from_millis(40.1)));
-        // Accumulated-f64 noise on an exactly-tight observation is not a
-        // violation…
-        assert!(f.dominates(Time::from_millis(40.0 * (1.0 + 1e-14))));
-        // …but anything beyond the relative epsilon is.
-        assert!(!f.dominates(Time::from_millis(40.0 * (1.0 + 1e-9))));
+        // The check is exact: one tick above the bound is a violation.
+        assert!(!f.dominates(f.bound + Time::from_ps(1)));
         // A degenerate zero bound yields no ratio instead of infinity.
         let mut zero = frame(0.0, 100.0);
         zero.bound = Time::ZERO;
@@ -318,7 +313,10 @@ mod tests {
         };
         assert_eq!(report.frame_bound(1), Some(Time::from_millis(80.0)));
         assert_eq!(report.frame_bound(2), None);
-        assert!((report.frame_tightness(0, Time::from_millis(20.0)).unwrap() - 0.5).abs() < 1e-9);
+        assert_eq!(
+            report.frame_tightness(0, Time::from_millis(20.0)),
+            Some(0.5)
+        );
         assert_eq!(report.frame_tightness(2, Time::from_millis(20.0)), None);
         // Worst over observations: frame 0 at 0.5, frame 1 at 0.75.
         let worst = report
@@ -328,7 +326,7 @@ mod tests {
                 (7, Time::from_millis(999.0)), // out of range, ignored
             ])
             .unwrap();
-        assert!((worst - 0.75).abs() < 1e-9);
+        assert_eq!(worst, 0.75);
         assert_eq!(report.worst_tightness([(9, Time::from_millis(1.0))]), None);
         assert_eq!(report.worst_tightness([]), None);
     }
@@ -341,10 +339,7 @@ mod tests {
             frames: vec![frame(40.0, 100.0), frame(80.0, 100.0), frame(10.0, 100.0)],
         };
         assert_eq!(report.worst_bound(), Some(Time::from_millis(80.0)));
-        assert!(report
-            .worst_slack()
-            .unwrap()
-            .approx_eq(Time::from_millis(20.0)));
+        assert_eq!(report.worst_slack().unwrap(), Time::from_millis(20.0));
         assert!(report.meets_all_deadlines());
         let empty = FlowReport {
             flow: FlowId(1),

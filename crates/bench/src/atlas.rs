@@ -129,24 +129,14 @@ impl AtlasReport {
 }
 
 /// A `Time` as integer permille of `bound` (rounded down; saturates the
-/// pathological `bound == 0` to `u64::MAX` rather than dividing by zero).
+/// pathological `bound <= 0` to `u64::MAX` rather than dividing by zero).
 fn permille_of(observed: Time, bound: Time) -> u64 {
-    let obs_ns = time_ns(observed);
-    let bound_ns = time_ns(bound);
-    if bound_ns == 0 {
+    if bound <= Time::ZERO {
         return u64::MAX;
     }
-    obs_ns.saturating_mul(1000) / bound_ns
-}
-
-/// Integer nanoseconds of a non-negative `Time`.
-fn time_ns(t: Time) -> u64 {
-    let ns = t.as_nanos().round();
-    if ns <= 0.0 {
-        0
-    } else {
-        ns as u64
-    }
+    let observed = u128::from(observed.as_ps().max(0).unsigned_abs());
+    let permille = observed * 1000 / u128::from(bound.as_ps().unsigned_abs());
+    u64::try_from(permille).unwrap_or(u64::MAX)
 }
 
 /// Sweep the fuzz corpus and build the atlas.

@@ -61,7 +61,7 @@ pub fn first_hop_response(
         .map(|&j| {
             let mut extra = jitters.max_jitter(j, resource);
             if config.refine_first_hop_blocking && j != flow {
-                extra = extra.saturating_add(ctx.demand(j, source, succ).max_c());
+                extra += ctx.demand(j, source, succ).max_c();
             }
             (j, extra)
         })
@@ -75,7 +75,7 @@ pub fn first_hop_response(
         |t| {
             let mut total = Time::ZERO;
             for (j, extra) in &extras {
-                total = total.saturating_add(ctx.demand(*j, source, succ).mx(t + *extra));
+                total += ctx.demand(*j, source, succ).mx(t + *extra);
             }
             total
         },
@@ -104,7 +104,7 @@ pub fn first_hop_response(
     // Queueing time and response time per instance, equations (16)–(18).
     let mut worst = Time::ZERO;
     for q in 0..instances {
-        let own = d_i.csum().saturating_mul(q);
+        let own = d_i.csum() * q;
         let w = match fixed_point(
             own,
             config.horizon,
@@ -115,7 +115,7 @@ pub fn first_hop_response(
                     if *j == flow {
                         continue;
                     }
-                    total = total.saturating_add(ctx.demand(*j, source, succ).mx(w + *extra));
+                    total += ctx.demand(*j, source, succ).mx(w + *extra);
                 }
                 total
             },
@@ -138,7 +138,7 @@ pub fn first_hop_response(
             }
         };
         // Equation (18).
-        let response = w - tsum_i.saturating_mul(q) + c_k;
+        let response = w - tsum_i * q + c_k;
         worst = worst.max(response);
     }
 
@@ -191,8 +191,9 @@ mod tests {
             let link = t
                 .link_between(gmf_net::NodeId(0), gmf_net::NodeId(4))
                 .unwrap();
-            assert!(
-                r.response.approx_eq(d.c(k) + link.propagation),
+            assert_eq!(
+                r.response,
+                d.c(k) + link.propagation,
                 "frame {k}: expected isolated bound, got {} vs {}",
                 r.response,
                 d.c(k) + link.propagation
@@ -351,7 +352,7 @@ mod tests {
 
         let paper =
             first_hop_response(&ctx, &jitters, &AnalysisConfig::paper(), FlowId(0), 0).unwrap();
-        assert!(paper.response.approx_eq(d.c(0) + link.propagation));
+        assert_eq!(paper.response, d.c(0) + link.propagation);
 
         let refined = first_hop_response(
             &ctx,
@@ -361,6 +362,6 @@ mod tests {
             0,
         )
         .unwrap();
-        assert!(refined.response.approx_eq(d.c(0) * 2u64 + link.propagation));
+        assert_eq!(refined.response, d.c(0) * 2u64 + link.propagation);
     }
 }

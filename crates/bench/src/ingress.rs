@@ -72,7 +72,7 @@ pub fn ingress_response(
             for (j, extra) in &extras {
                 rounds = rounds.saturating_add(ctx.demand(*j, prec, node).nx(t + *extra));
             }
-            circ.saturating_mul(rounds)
+            circ * rounds
         },
     ) {
         FixedPointOutcome::Converged(t) => t,
@@ -109,7 +109,7 @@ pub fn ingress_response(
 
     let mut worst = Time::ZERO;
     for q in 0..instances {
-        let own = circ.saturating_mul(q.saturating_mul(own_rounds_per_cycle));
+        let own = circ * q.saturating_mul(own_rounds_per_cycle);
         let w = match fixed_point(
             own,
             config.horizon,
@@ -122,7 +122,7 @@ pub fn ingress_response(
                     }
                     rounds = rounds.saturating_add(ctx.demand(*j, prec, node).nx(w + *extra));
                 }
-                own.saturating_add(circ.saturating_mul(rounds))
+                own + circ * rounds
             },
         ) {
             FixedPointOutcome::Converged(w) => w,
@@ -143,7 +143,7 @@ pub fn ingress_response(
             }
         };
         // Equation (25).
-        let response = w - tsum_i.saturating_mul(q) + circ.saturating_mul(own_rounds_final);
+        let response = w - tsum_i * q + circ * own_rounds_final;
         worst = worst.max(response);
     }
 
@@ -204,7 +204,7 @@ mod tests {
             ingress_response(&ctx, &jitters, &AnalysisConfig::paper(), FlowId(0), 0, SW4).unwrap();
         // Paper semantics: the packet under analysis is charged exactly one
         // CIRC(N) once its own queueing (w = 0 in isolation) is done.
-        assert!(r.response.approx_eq(circ));
+        assert_eq!(r.response, circ);
         assert!(r.instances >= 1);
     }
 
@@ -217,10 +217,10 @@ mod tests {
         let cfg = AnalysisConfig::conservative();
         // Frame 0 of the paper flow fragments into 30 Ethernet frames.
         let r = ingress_response(&ctx, &jitters, &cfg, FlowId(0), 0, SW4).unwrap();
-        assert!(r.response.approx_eq(circ * 30u64));
+        assert_eq!(r.response, circ * 30u64);
         // Frame 1 (a B frame) fragments into 6.
         let r = ingress_response(&ctx, &jitters, &cfg, FlowId(0), 1, SW4).unwrap();
-        assert!(r.response.approx_eq(circ * 6u64));
+        assert_eq!(r.response, circ * 6u64);
     }
 
     #[test]
@@ -251,7 +251,7 @@ mod tests {
             SW4,
         )
         .unwrap();
-        assert!(ra.response.approx_eq(rb.response));
+        assert_eq!(ra.response, rb.response);
     }
 
     #[test]
@@ -282,7 +282,7 @@ mod tests {
             SW4,
         )
         .unwrap();
-        assert!(rb0.response.approx_eq(ra.response));
+        assert_eq!(rb0.response, ra.response);
         // Once the holistic iteration has propagated jitter to the ingress
         // resource (here injected by hand: 1 ms for every voice flow), each
         // voice packet that can arrive in the window costs one CIRC round.
@@ -364,5 +364,33 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, AnalysisError::Overload { .. }));
+    }
+
+    /// A busy period one tick past a whole number of cycles reaches into
+    /// the next cycle, so the stage must check one more instance, however
+    /// small the excess is relative to the period.  A 1-frame CBR flow with
+    /// period `T = 68·CIRC − 1 ps` and a jitter that pulls 68 of its frames
+    /// into the first window converges on a busy period of
+    /// `68·CIRC = T + 1 ps`, an excess of 1e-9 of `T`: two instances.
+    #[test]
+    fn busy_period_one_tick_past_a_cycle_checks_the_next_instance() {
+        let (t, net) = paper_figure1();
+        let circ = t.circ(SW4).unwrap();
+        let period = circ * 68u64 - Time::from_ps(1);
+        let route = shortest_path(&t, net.hosts[0], net.hosts[3]).unwrap();
+        let mut fs = FlowSet::new();
+        let id = fs.add(
+            cbr_flow("probe", 100, period, period, Time::ZERO),
+            route,
+            Priority(5),
+        );
+        let ctx = AnalysisContext::new(&t, &fs).unwrap();
+        let mut jitters = JitterMap::initial(&fs);
+        let resource = ResourceId::SwitchIngress { node: SW4 };
+        let jitter = period * 67u64 - Time::from_ps(circ.as_ps() / 2);
+        jitters.set(id, resource, 0, jitter, 1);
+        let r = ingress_response(&ctx, &jitters, &AnalysisConfig::paper(), id, 0, SW4).unwrap();
+        assert_eq!(r.busy_period, period + Time::from_ps(1));
+        assert_eq!(r.instances, 2);
     }
 }

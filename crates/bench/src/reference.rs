@@ -100,7 +100,7 @@ pub fn analyze_reference(
             iteration,
             residual,
         });
-        if next.approx_eq(&x) {
+        if residual.is_zero() {
             let schedulable = reports.iter().all(|r| r.meets_all_deadlines());
             let failure = if schedulable {
                 None

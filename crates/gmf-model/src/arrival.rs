@@ -139,7 +139,7 @@ mod tests {
         let expected_ms = [0.0, 10.0, 30.0, 60.0, 70.0, 90.0, 120.0];
         assert_eq!(trace.len(), expected_ms.len());
         for (arrival, &ms) in trace.arrivals().iter().zip(&expected_ms) {
-            assert!(arrival.release.approx_eq(Time::from_millis(ms)));
+            assert_eq!(arrival.release, Time::from_millis(ms));
         }
         // Frame indices cycle 0,1,2,0,1,2,...
         let idx: Vec<usize> = trace.arrivals().iter().map(|a| a.frame_index).collect();
@@ -153,7 +153,7 @@ mod tests {
         // Jitter windows are copied from the specification.
         assert_eq!(trace.arrivals()[0].jitter_window, Time::from_millis(1.0));
         assert_eq!(trace.arrivals()[1].jitter_window, Time::ZERO);
-        assert!(trace.span().approx_eq(Time::from_millis(120.0)));
+        assert_eq!(trace.span(), Time::from_millis(120.0));
     }
 
     #[test]
@@ -181,15 +181,9 @@ mod tests {
         );
         // Releases at 5, 15 and 35 ms; the next one (65 ms) is past the horizon.
         assert_eq!(trace.len(), 3);
-        assert!(trace.arrivals()[0]
-            .release
-            .approx_eq(Time::from_millis(5.0)));
-        assert!(trace.arrivals()[1]
-            .release
-            .approx_eq(Time::from_millis(15.0)));
-        assert!(trace.arrivals()[2]
-            .release
-            .approx_eq(Time::from_millis(35.0)));
+        assert_eq!(trace.arrivals()[0].release, Time::from_millis(5.0));
+        assert_eq!(trace.arrivals()[1].release, Time::from_millis(15.0));
+        assert_eq!(trace.arrivals()[2].release, Time::from_millis(35.0));
         assert_eq!(trace.arrivals()[2].jitter_window, Time::from_micros(200.0));
     }
 }

@@ -213,17 +213,8 @@ impl LinkDemand {
             return Time::ZERO;
         }
         let cycles = t.div_floor(self.tsum);
-        if cycles == u64::MAX {
-            // The cycle count saturated (window beyond any representable
-            // horizon); any finite splice would under-count, so return the
-            // conservative top element and let the caller's horizon check
-            // fail loudly.
-            return Time::MAX;
-        }
         let residual = t - self.tsum * cycles;
-        self.csum
-            .saturating_mul(cycles)
-            .saturating_add(self.mxs(residual))
+        self.csum * cycles + self.mxs(residual)
     }
 
     /// `NXS(τ_j, N1, N2, t)` (eq. 12): upper bound on the number of Ethernet
@@ -255,9 +246,6 @@ impl LinkDemand {
             return 0;
         }
         let cycles = t.div_floor(self.tsum);
-        if cycles == u64::MAX {
-            return u64::MAX;
-        }
         let residual = t - self.tsum * cycles;
         // Saturating on the frame *count* keeps the bound conservative and,
         // under the `release-checked` profile, is what keeps a pathological
@@ -304,9 +292,9 @@ mod tests {
     fn per_frame_transmission_times() {
         let d = demand();
         assert_eq!(d.n_frames(), 3);
-        assert!(d.c(0).approx_eq(Time::from_secs(8528.0 / S)));
-        assert!(d.c(1).approx_eq(Time::from_secs(16992.0 / S)));
-        assert!(d.c(2).approx_eq(Time::from_secs(33456.0 / S)));
+        assert_eq!(d.c(0), Time::from_secs(8528.0 / S));
+        assert_eq!(d.c(1), Time::from_secs(16992.0 / S));
+        assert_eq!(d.c(2), Time::from_secs(33456.0 / S));
         // Cyclic indexing.
         assert_eq!(d.c(3), d.c(0));
         assert_eq!(d.n_ethernet_frames(0), 1);
@@ -314,19 +302,17 @@ mod tests {
         assert_eq!(d.n_ethernet_frames(2), 3);
         assert_eq!(d.n_ethernet_frames(5), 3);
         assert_eq!(d.t(1), Time::from_millis(20.0));
-        assert!(d.max_c().approx_eq(d.c(2)));
+        assert_eq!(d.max_c(), d.c(2));
         assert_eq!(d.max_n_ethernet_frames(), 3);
     }
 
     #[test]
     fn aggregate_sums() {
         let d = demand();
-        assert!(d
-            .csum()
-            .approx_eq(Time::from_secs((8528.0 + 16992.0 + 33456.0) / S)));
+        assert_eq!(d.csum(), Time::from_secs((8528.0 + 16992.0 + 33456.0) / S));
         assert_eq!(d.nsum(), 6);
-        assert!(d.tsum().approx_eq(Time::from_millis(60.0)));
-        assert!(d.mft().approx_eq(Time::from_millis(1.2304)));
+        assert_eq!(d.tsum(), Time::from_millis(60.0));
+        assert_eq!(d.mft(), Time::from_millis(1.2304));
         assert!((d.utilization() - d.csum().as_secs() / 0.060).abs() < 1e-12);
         assert_eq!(d.speed().as_bps(), S);
     }
@@ -347,11 +333,11 @@ mod tests {
     #[test]
     fn windowed_sums_wrap_around() {
         let d = demand();
-        assert!(d.csum_window(0, 0).approx_eq(Time::ZERO));
-        assert!(d.csum_window(2, 2).approx_eq(d.c(2) + d.c(0)));
+        assert_eq!(d.csum_window(0, 0), Time::ZERO);
+        assert_eq!(d.csum_window(2, 2), d.c(2) + d.c(0));
         assert_eq!(d.nsum_window(1, 3), 2 + 3 + 1);
-        assert!(d.tsum_window(2, 2).approx_eq(Time::from_millis(30.0)));
-        assert!(d.tsum_window(0, 3).approx_eq(Time::from_millis(30.0)));
+        assert_eq!(d.tsum_window(2, 2), Time::from_millis(30.0));
+        assert_eq!(d.tsum_window(0, 3), Time::from_millis(30.0));
         assert_eq!(d.tsum_window(0, 1), Time::ZERO);
     }
 
@@ -360,15 +346,13 @@ mod tests {
         let d = demand();
         // A window shorter than any single C is bounded by the window itself.
         let tiny = Time::from_micros(100.0);
-        assert!(d.mxs(tiny).approx_eq(tiny));
+        assert_eq!(d.mxs(tiny), tiny);
         // A window of 1 ms fits no second arrival (smallest gap is 10 ms) so
         // the bound is the largest single-frame C capped at t; C_2 = 3.3456 ms
         // exceeds 1 ms so the cap applies.
-        assert!(d
-            .mxs(Time::from_millis(1.0))
-            .approx_eq(Time::from_millis(1.0)));
+        assert_eq!(d.mxs(Time::from_millis(1.0)), Time::from_millis(1.0));
         // A 5 ms window: the largest single C (3.3456 ms) fits uncapped.
-        assert!(d.mxs(Time::from_millis(5.0)).approx_eq(d.c(2)));
+        assert_eq!(d.mxs(Time::from_millis(5.0)), d.c(2));
         // Zero or negative windows contribute nothing.
         assert_eq!(d.mxs(Time::ZERO), Time::ZERO);
         assert_eq!(d.mxs(Time::from_millis(-3.0)), Time::ZERO);
@@ -381,28 +365,26 @@ mod tests {
         // (span T_1 = 20 ms <= 25 ms), giving C_1 + C_2; the full cycle needs
         // a 30 ms span and does not fit.
         let expected = d.c(1) + d.c(2);
-        assert!(d.mxs(Time::from_millis(25.0)).approx_eq(expected));
+        assert_eq!(d.mxs(Time::from_millis(25.0)), expected);
         // 30 ms window: arrivals of the whole cycle starting at frame 0 span
         // T_0 + T_1 = 30 ms <= 30 ms, so the bound is the full CSUM.
-        assert!(d.mxs(Time::from_millis(30.0)).approx_eq(d.csum()));
+        assert_eq!(d.mxs(Time::from_millis(30.0)), d.csum());
         // 29 ms window: the whole cycle no longer fits; {1, 2} is best again.
-        assert!(d.mxs(Time::from_millis(29.0)).approx_eq(expected));
+        assert_eq!(d.mxs(Time::from_millis(29.0)), expected);
     }
 
     #[test]
     fn mx_splices_whole_cycles() {
         let d = demand();
         // Exactly one cycle: CSUM + MXS(0) = CSUM.
-        assert!(d.mx(d.tsum()).approx_eq(d.csum()));
+        assert_eq!(d.mx(d.tsum()), d.csum());
         // One cycle plus 5 ms: CSUM + MXS(5 ms).
         let t = d.tsum() + Time::from_millis(5.0);
-        assert!(d.mx(t).approx_eq(d.csum() + d.mxs(Time::from_millis(5.0))));
+        assert_eq!(d.mx(t), d.csum() + d.mxs(Time::from_millis(5.0)));
         // Ten cycles.
-        assert!(d.mx(d.tsum() * 10u64).approx_eq(d.csum() * 10u64));
+        assert_eq!(d.mx(d.tsum() * 10u64), d.csum() * 10u64);
         // Sub-cycle windows fall through to MXS.
-        assert!(d
-            .mx(Time::from_millis(5.0))
-            .approx_eq(d.mxs(Time::from_millis(5.0))));
+        assert_eq!(d.mx(Time::from_millis(5.0)), d.mxs(Time::from_millis(5.0)));
         assert_eq!(d.mx(Time::ZERO), Time::ZERO);
     }
 
@@ -430,7 +412,7 @@ mod tests {
             let t = Time::from_millis(0.5 * i as f64);
             let v = d.mx(t);
             assert!(
-                v + Time::from_nanos(1.0) >= prev,
+                v >= prev,
                 "MX must be monotone: MX({t}) = {v} < previous {prev}"
             );
             prev = v;
@@ -470,7 +452,7 @@ mod tests {
         let c = d.c(0);
         // t = 25 ms: floor(25/10) = 2 cycles + MXS(5ms) = 2C + C = 3C
         // (classic ceil(25/10) = 3 jobs).
-        assert!(d.mx(Time::from_millis(25.0)).approx_eq(c * 3u64));
+        assert_eq!(d.mx(Time::from_millis(25.0)), c * 3u64);
         assert_eq!(d.nx(Time::from_millis(25.0)), 3);
         // t barely above zero: the request bound still counts one job, MX is
         // capped by the window length.

@@ -317,13 +317,13 @@ mod tests {
         let speed = BitRate::from_bps(1e7);
         // Single full frame: exactly MFT.
         let mft = max_frame_transmission_time(speed);
-        assert!(mft.approx_eq(Time::from_millis(1.2304)));
+        assert_eq!(mft, Time::from_millis(1.2304));
         // The 4000-byte example above: (2*12304 + 8848) bits at 10 Mbit/s.
         let t = transmission_time(Bits::from_bytes(4000), &cfg, speed);
-        assert!(t.approx_eq(Time::from_secs((2.0 * 12304.0 + 8848.0) / 1e7)));
+        assert_eq!(t, Time::from_secs((2.0 * 12304.0 + 8848.0) / 1e7));
         // Max single-frame time of the same packetization is the MFT.
         let p = packetize(Bits::from_bytes(4000), &cfg);
-        assert!(p.max_frame_transmission_time(speed).approx_eq(mft));
+        assert_eq!(p.max_frame_transmission_time(speed), mft);
     }
 
     #[test]
@@ -331,9 +331,9 @@ mod tests {
         let m10 = max_frame_transmission_time(BitRate::from_mbps(10.0));
         let m100 = max_frame_transmission_time(BitRate::from_mbps(100.0));
         let m1000 = max_frame_transmission_time(BitRate::from_gbps(1.0));
-        assert!((m10.as_secs() / m100.as_secs() - 10.0).abs() < 1e-9);
-        assert!((m100.as_secs() / m1000.as_secs() - 10.0).abs() < 1e-9);
-        assert!(m1000.approx_eq(Time::from_micros(12.304)));
+        assert_eq!(m10, m100 * 10u64);
+        assert_eq!(m100, m1000 * 10u64);
+        assert_eq!(m1000, Time::from_micros(12.304));
     }
 
     #[test]

@@ -319,7 +319,7 @@ mod tests {
     #[test]
     fn tsum_is_cycle_length() {
         let f = three_frame_flow();
-        assert!(f.tsum().approx_eq(Time::from_millis(60.0)));
+        assert_eq!(f.tsum(), Time::from_millis(60.0));
     }
 
     #[test]
@@ -329,13 +329,13 @@ mod tests {
         assert_eq!(f.tsum_window(0, 0), Time::ZERO);
         assert_eq!(f.tsum_window(2, 1), Time::ZERO);
         // Two arrivals starting at frame 0: the single gap T_0 = 10 ms.
-        assert!(f.tsum_window(0, 2).approx_eq(Time::from_millis(10.0)));
+        assert_eq!(f.tsum_window(0, 2), Time::from_millis(10.0));
         // Three arrivals starting at frame 1: gaps T_1 + T_2 = 50 ms.
-        assert!(f.tsum_window(1, 3).approx_eq(Time::from_millis(50.0)));
+        assert_eq!(f.tsum_window(1, 3), Time::from_millis(50.0));
         // Wrapping: three arrivals starting at frame 2: T_2 + T_0 = 40 ms.
-        assert!(f.tsum_window(2, 3).approx_eq(Time::from_millis(40.0)));
+        assert_eq!(f.tsum_window(2, 3), Time::from_millis(40.0));
         // A full cycle plus one frame: all gaps once plus T_0 again.
-        assert!(f.tsum_window(0, 4).approx_eq(Time::from_millis(60.0)));
+        assert_eq!(f.tsum_window(0, 4), Time::from_millis(60.0));
     }
 
     #[test]

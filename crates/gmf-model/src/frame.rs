@@ -78,14 +78,6 @@ impl FrameSpec {
     ///
     /// `frame_index` is only used to produce a useful error message.
     pub fn validate(&self, frame_index: usize) -> Result<(), ModelError> {
-        if !self.min_interarrival.is_finite()
-            || !self.deadline.is_finite()
-            || !self.jitter.is_finite()
-        {
-            return Err(ModelError::NonFinite {
-                what: "frame timing parameter",
-            });
-        }
         if self.payload.is_zero() {
             return Err(ModelError::EmptyPayload { frame: frame_index });
         }

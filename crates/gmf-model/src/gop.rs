@@ -258,7 +258,7 @@ mod tests {
     fn paper_flow_structure() {
         let flow = paper_figure3_flow("mpeg", Time::from_millis(100.0), Time::from_millis(1.0));
         assert_eq!(flow.n_frames(), 9);
-        assert!(flow.tsum().approx_eq(Time::from_millis(270.0)));
+        assert_eq!(flow.tsum(), Time::from_millis(270.0));
         assert_eq!(flow.max_jitter(), Time::from_millis(1.0));
         // The first packet (I+P) is the largest.
         assert_eq!(flow.frame(0).unwrap().payload, Bits::from_bytes(43_000));

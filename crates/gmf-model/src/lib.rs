@@ -15,7 +15,8 @@
 //! link speed, [`LinkDemand`] packetizes every frame ([`encapsulation`]) and
 //! provides the paper's request-bound functions `CSUM/NSUM/TSUM`,
 //! `MXS/MX` and `NXS/NX`, which are the only interface the analysis crate
-//! needs.
+//! needs.  Every time is an exact integer count of picoseconds ([`Time`],
+//! see [`units`]), so these functions involve no rounding tolerance.
 //!
 //! ```
 //! use gmf_model::prelude::*;
@@ -23,12 +24,12 @@
 //! // The paper's Figure 3 MPEG stream (IBBPBBPBB, one packet every 30 ms).
 //! let flow = paper_figure3_flow("video", Time::from_millis(100.0), Time::from_millis(1.0));
 //! assert_eq!(flow.n_frames(), 9);
-//! assert!(flow.tsum().approx_eq(Time::from_millis(270.0)));
+//! assert_eq!(flow.tsum(), Time::from_millis(270.0));
 //!
 //! // Its demand on the paper's 10 Mbit/s first link.
 //! let demand = LinkDemand::new(&flow, &EncapsulationConfig::paper(), BitRate::from_mbps(10.0));
 //! assert_eq!(demand.nsum(), 94);                       // Ethernet frames per GOP
-//! assert!(demand.mft().approx_eq(Time::from_millis(1.2304))); // eq. (1)
+//! assert_eq!(demand.mft(), Time::from_millis(1.2304)); // eq. (1)
 //! ```
 
 #![warn(missing_docs)]

@@ -228,10 +228,7 @@ mod tests {
         // Switch 4 has exactly the four interfaces of Figure 5.
         assert_eq!(t.n_interfaces(net.switches[0]), 4);
         // The worked CIRC example: 4 × 3.7 µs = 14.8 µs.
-        assert!(t
-            .circ(net.switches[0])
-            .unwrap()
-            .approx_eq(Time::from_micros(14.8)));
+        assert_eq!(t.circ(net.switches[0]).unwrap(), Time::from_micros(14.8));
         // The example route 0 -> 4 -> 6 -> 3 is valid.
         let route = Route::new(
             &t,
@@ -339,6 +336,6 @@ mod tests {
     #[test]
     fn propagation_helper() {
         // 1 km of fibre ≈ 5 µs.
-        assert!(propagation_for_distance(1000.0).approx_eq(Time::from_micros(5.0)));
+        assert_eq!(propagation_for_distance(1000.0), Time::from_micros(5.0));
     }
 }

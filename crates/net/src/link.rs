@@ -123,7 +123,7 @@ mod tests {
             speed: BitRate::from_mbps(10.0),
             propagation: Time::from_micros(5.0),
         };
-        assert!(link.mft().approx_eq(Time::from_millis(1.2304)));
+        assert_eq!(link.mft(), Time::from_millis(1.2304));
         assert_eq!(link.endpoints(), (NodeId(0), NodeId(4)));
         assert!(link.to_string().contains("link(0,4)"));
     }

@@ -159,8 +159,8 @@ mod tests {
     fn paper_circ_is_14_8_us_for_4_interfaces() {
         // The worked example below Figure 5: 4 × (2.7 + 1.0) µs = 14.8 µs.
         let cfg = SwitchConfig::paper();
-        assert!(cfg.per_interface_cost().approx_eq(Time::from_micros(3.7)));
-        assert!(cfg.circ(4).approx_eq(Time::from_micros(14.8)));
+        assert_eq!(cfg.per_interface_cost(), Time::from_micros(3.7));
+        assert_eq!(cfg.circ(4), Time::from_micros(14.8));
     }
 
     #[test]
@@ -168,16 +168,16 @@ mod tests {
         // The conclusion: 48 ports on 16 processors -> 3 interfaces each ->
         // CIRC = 3 × 3.7 µs = 11.1 µs.
         let cfg = SwitchConfig::paper().with_processors(16);
-        assert!(cfg.circ(48).approx_eq(Time::from_micros(11.1)));
+        assert_eq!(cfg.circ(48), Time::from_micros(11.1));
     }
 
     #[test]
     fn circ_rounds_interfaces_per_processor_up() {
         let cfg = SwitchConfig::paper().with_processors(4);
         // 10 interfaces on 4 processors: one processor serves 3.
-        assert!(cfg.circ(10).approx_eq(Time::from_micros(3.0 * 3.7)));
+        assert_eq!(cfg.circ(10), Time::from_micros(3.0 * 3.7));
         // Exact division.
-        assert!(cfg.circ(8).approx_eq(Time::from_micros(2.0 * 3.7)));
+        assert_eq!(cfg.circ(8), Time::from_micros(2.0 * 3.7));
     }
 
     #[test]

@@ -429,7 +429,7 @@ mod tests {
     fn circ_uses_interface_count() {
         let (t, h0, sw, _) = small();
         // 2 interfaces × 3.7 µs.
-        assert!(t.circ(sw).unwrap().approx_eq(Time::from_micros(7.4)));
+        assert_eq!(t.circ(sw).unwrap(), Time::from_micros(7.4));
         assert!(matches!(
             t.circ(h0),
             Err(NetError::RouteThroughNonSwitch(_))
@@ -478,7 +478,7 @@ mod tests {
             back.link_between(h0, sw).unwrap(),
         );
         assert_eq!(a.speed.as_bps(), b.speed.as_bps());
-        assert!(a.propagation.approx_eq(b.propagation));
+        assert_eq!(a.propagation, b.propagation);
         // The rebuilt indexes answer derived queries identically.
         assert_eq!(back.n_interfaces(sw), t.n_interfaces(sw));
     }

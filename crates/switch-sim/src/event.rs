@@ -139,15 +139,16 @@ impl fmt::Display for EventInPast {
 
 impl std::error::Error for EventInPast {}
 
-/// Width of one calendar bucket in nanoseconds.  Chosen so that typical
-/// switched-Ethernet event spacing (transmission times of microseconds,
-/// CPU costs of hundreds of nanoseconds) lands a handful of events per
-/// bucket — the per-bucket heap stays a few levels deep; sparse horizons
-/// are unaffected because empty buckets are never visited.
-const BUCKET_WIDTH_NS: f64 = 65_536.0;
+/// Width of one calendar bucket as a power of two of picosecond ticks:
+/// 2^26 ps ≈ 67.1 µs.  Chosen so that typical switched-Ethernet event
+/// spacing (transmission times of microseconds, CPU costs of hundreds of
+/// nanoseconds) lands a handful of events per bucket — the per-bucket heap
+/// stays a few levels deep; sparse horizons are unaffected because empty
+/// buckets are never visited.
+const BUCKET_SHIFT: u32 = 26;
 
 /// Number of wheel slots (a power of two).  The wheel covers
-/// `WHEEL_SLOTS * BUCKET_WIDTH_NS` ≈ 67 ms of simulated time ahead of the
+/// `WHEEL_SLOTS << BUCKET_SHIFT` ps ≈ 69 ms of simulated time ahead of the
 /// drain point; events beyond that land in the `far` map until the wheel
 /// catches up.
 const WHEEL_SLOTS: usize = 1024;
@@ -237,9 +238,8 @@ impl Default for EventQueue {
 
 /// Calendar bucket index of a firing time.
 fn bucket_of(time: Time) -> u64 {
-    // Non-negative by the schedule-time check; nanosecond magnitudes up to
-    // ~2^53 convert exactly.
-    (time.as_nanos() / BUCKET_WIDTH_NS) as u64
+    // Non-negative by the schedule-time check.
+    time.as_ps().unsigned_abs() >> BUCKET_SHIFT
 }
 
 impl EventQueue {

@@ -904,22 +904,17 @@ mod tests {
         let (t, fs) = direct_link_scenario();
         let sim = Simulator::new(&t, &fs, SimConfig::quick()).unwrap();
         let result = sim.run().unwrap();
-        // 200 ms horizon, one packet every 20 ms -> 10 packets (11 if the
-        // accumulated release time lands just below the horizon).
+        // 200 ms horizon, one packet every 20 ms -> 10 packets: the 11th
+        // release lands exactly on the horizon, which is exclusive.
         let released = result.stats.packets_released;
-        assert!((10..=11).contains(&released), "released {released}");
+        assert_eq!(released, 10);
         assert_eq!(result.stats.packets_completed, released);
         // Each voice packet is one Ethernet frame of 226 bytes on the wire:
         // 1808 bits at 100 Mbit/s = 18.08 µs, plus 5 µs propagation.
         let expected = Time::from_micros(18.08 + 5.0);
         let stats = result.stats.frame_stats(FlowId(0), 0).unwrap();
-        assert!(
-            stats.max.approx_eq(expected),
-            "max {} vs {}",
-            stats.max,
-            expected
-        );
-        assert!(stats.min.approx_eq(expected));
+        assert_eq!(stats.max, expected, "max {} vs {}", stats.max, expected);
+        assert_eq!(stats.min, expected);
         assert_eq!(result.stats.frames_transmitted, released);
         assert!(result.final_time <= Time::from_millis(201.0));
     }
@@ -1155,8 +1150,8 @@ mod tests {
         let ra = Simulator::new(&t, &fs, adversarial).unwrap().run().unwrap();
         let base_stats = rb.stats.frame_stats(FlowId(0), 0).unwrap();
         let adv_stats = ra.stats.frame_stats(FlowId(0), 0).unwrap();
-        assert!(adv_stats.max.approx_eq(base_stats.max + jitter * 0.999));
-        assert!(adv_stats.min.approx_eq(base_stats.min));
+        assert_eq!(adv_stats.max, base_stats.max + jitter * 0.999);
+        assert_eq!(adv_stats.min, base_stats.min);
         assert_eq!(ra.stats.packets_released, rb.stats.packets_released);
     }
 
@@ -1458,8 +1453,8 @@ mod tests {
         let sc = clean.stats.frame_stats(FlowId(0), 0).unwrap();
         let sf = faulted.stats.frame_stats(FlowId(0), 0).unwrap();
         assert_eq!(sc.count, sf.count);
-        assert!(sf.max.approx_eq(sc.max));
-        assert!(sf.min.approx_eq(sc.min));
+        assert_eq!(sf.max, sc.max);
+        assert_eq!(sf.min, sc.min);
         assert!(sc.count < clean.stats.packets_completed);
     }
 

@@ -191,8 +191,10 @@ impl ResponseStats {
         if self.count == 0 {
             Time::ZERO
         } else {
-            // tidy-allow: float telemetry ratio: integer sum over count
-            Time::from_nanos(self.sum_ns as f64 / self.count as f64)
+            // Rounded to the nearest picosecond.
+            let count = u128::from(self.count);
+            let ps = (u128::from(self.sum_ns) * 1000 + count / 2) / count;
+            Time::from_ps(i64::try_from(ps).unwrap_or(i64::MAX))
         }
     }
 
@@ -202,8 +204,8 @@ impl ResponseStats {
     // tidy-allow: float quantile fraction is telemetry input, not a bound
     pub fn quantile(&self, q: f64) -> Option<Time> {
         let ns = self.histogram.quantile_ns(q)?;
-        // tidy-allow: float telemetry conversion of an integer bucket edge
-        Some(Time::from_nanos(ns as f64).min(self.max))
+        let ps = i64::try_from(ns.saturating_mul(1000)).unwrap_or(i64::MAX);
+        Some(Time::from_ps(ps).min(self.max))
     }
 
     /// Median observed response time.
@@ -229,14 +231,7 @@ fn response_ns(response: Time) -> u64 {
         !response.is_negative(),
         "response times are non-negative by construction"
     );
-    // tidy-allow: float conversion boundary from Time's f64 seconds
-    let ns = response.as_nanos().round();
-    // tidy-allow: float conversion boundary from Time's f64 seconds
-    if ns <= 0.0 {
-        0
-    } else {
-        ns as u64
-    }
+    (response.as_ps().max(0).unsigned_abs() + 500) / 1000
 }
 
 /// All statistics of one simulation run.
@@ -354,7 +349,7 @@ mod tests {
     #[test]
     fn response_time_is_completion_minus_arrival() {
         let s = sample(0, 0, 0, 10.0, 14.5);
-        assert!(s.response_time().approx_eq(Time::from_millis(4.5)));
+        assert_eq!(s.response_time(), Time::from_millis(4.5));
     }
 
     #[test]
@@ -365,9 +360,9 @@ mod tests {
         stats.record(sample(0, 2, 0, 20.0, 21.0));
         let agg = stats.frame_stats(FlowId(0), 0).unwrap();
         assert_eq!(agg.count, 3);
-        assert!(agg.max.approx_eq(Time::from_millis(6.0)));
-        assert!(agg.min.approx_eq(Time::from_millis(1.0)));
-        assert!(agg.mean().approx_eq(Time::from_millis(3.0)));
+        assert_eq!(agg.max, Time::from_millis(6.0));
+        assert_eq!(agg.min, Time::from_millis(1.0));
+        assert_eq!(agg.mean(), Time::from_millis(3.0));
         assert_eq!(stats.samples().len(), 3);
         assert_eq!(stats.packets_completed, 3);
     }
@@ -378,14 +373,14 @@ mod tests {
         stats.record(sample(0, 0, 0, 0.0, 5.0));
         stats.record(sample(0, 1, 1, 30.0, 32.0));
         stats.record(sample(1, 0, 0, 0.0, 1.0));
-        assert!(stats
-            .worst_response(FlowId(0))
-            .unwrap()
-            .approx_eq(Time::from_millis(5.0)));
-        assert!(stats
-            .worst_frame_response(FlowId(0), 1)
-            .unwrap()
-            .approx_eq(Time::from_millis(2.0)));
+        assert_eq!(
+            stats.worst_response(FlowId(0)).unwrap(),
+            Time::from_millis(5.0)
+        );
+        assert_eq!(
+            stats.worst_frame_response(FlowId(0), 1).unwrap(),
+            Time::from_millis(2.0)
+        );
         assert_eq!(stats.worst_frame_response(FlowId(0), 7), None);
         assert_eq!(stats.completed_of_flow(FlowId(0)), 2);
         assert_eq!(stats.completed_of_flow(FlowId(2)), 0);
@@ -512,13 +507,8 @@ mod tests {
             fwd.record(response);
         }
         assert_eq!(fwd.count, n);
-        // Exact: the mean of n identical values is the value (to the ns).
-        let mean_ns = fwd.mean().as_nanos();
-        let expect_ns = response.as_nanos().round();
-        assert!(
-            (mean_ns - expect_ns).abs() < 1.0,
-            "mean {mean_ns} ns drifted from {expect_ns} ns"
-        );
+        // Exact: the mean of n identical whole-nanosecond values is the value.
+        assert_eq!(fwd.mean(), response);
         // Order-independence: interleaving a second value front-vs-back
         // produces bit-identical aggregates.
         let lo = Time::from_micros(10.0);

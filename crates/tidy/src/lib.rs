@@ -95,10 +95,10 @@ pub const RULES: &[RuleDef] = &[
     },
     RuleDef {
         name: "float",
-        rationale: "bound-computing modules must stay on the Time/Bits newtypes whose \
-                    tolerances are centrally controlled; ad-hoc f32/f64 arithmetic \
-                    reintroduces platform- and order-dependent rounding. Tag genuine \
-                    telemetry/ratio code with an allow.",
+        rationale: "bound-computing modules must stay on the exact integer Time/Bits \
+                    newtypes; ad-hoc f32/f64 arithmetic reintroduces platform- and \
+                    order-dependent rounding. Tag genuine telemetry/ratio code and the \
+                    f64 boundary of the units module with an allow.",
     },
     RuleDef {
         name: "clock",
@@ -115,9 +115,9 @@ pub const RULES: &[RuleDef] = &[
     RuleDef {
         name: "time-arith",
         rationale: "busy-period and w(q) accumulations in the analysis hot paths must \
-                    use the checked/saturating Time helpers (saturating_add, \
-                    checked_mul) so overflow fails loudly instead of wrapping; bare \
-                    `+=`/`-=` bypasses them.",
+                    use saturating arithmetic (Time's operators, u64::saturating_add) \
+                    so overflow fails loudly instead of wrapping; bare `+=`/`-=` on \
+                    an integer count bypasses it.",
     },
     RuleDef {
         name: "unwrap",
@@ -210,6 +210,7 @@ const BOUND_SCOPE: &[&str] = &[
     "crates/gmf-model/src/encapsulation.rs",
     "crates/gmf-model/src/arrival.rs",
     "crates/switch-sim/src/stats.rs",
+    "crates/switch-sim/src/event.rs",
 ];
 
 /// Index-heavy engine modules where bare `as` casts are banned (rule
@@ -344,7 +345,7 @@ fn rule_check(rule: &str, code: &str, kind: FileKind) -> Option<String> {
         "cast" => bare_numeric_cast(code)
             .map(|t| format!("bare `as {t}` cast; use the index helpers or a checked conversion")),
         "time-arith" => ["+=", "-="].iter().find(|t| code.contains(**t)).map(|t| {
-            format!("`{t}` in an analysis hot path; use Time::saturating_add/checked_mul helpers")
+            format!("`{t}` in an analysis hot path; use Time's saturating operators or u64::saturating_add")
         }),
         "alloc" => ["Vec::new", ".to_vec(", ".collect("]
             .iter()

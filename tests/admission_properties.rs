@@ -146,20 +146,16 @@ proptest! {
                 prop_assert_eq!(&restored.name, &flow_report.name);
                 prop_assert_eq!(restored.frames.len(), flow_report.frames.len());
                 for (a, b) in restored.frames.iter().zip(&flow_report.frames) {
-                    prop_assert!(
-                        a.bound.approx_eq(b.bound),
-                        "bound {} vs {}", a.bound, b.bound
-                    );
+                    prop_assert_eq!(a.bound, b.bound,
+                        "bound {} vs {}", a.bound, b.bound);
                     prop_assert_eq!(a.deadline, b.deadline);
                     prop_assert_eq!(a.source_jitter, b.source_jitter);
                     prop_assert_eq!(a.hops.len(), b.hops.len());
                     for (ha, hb) in a.hops.iter().zip(&b.hops) {
                         prop_assert_eq!(ha.resource, hb.resource);
                         prop_assert_eq!(ha.stage, hb.stage);
-                        prop_assert!(
-                            ha.response.approx_eq(hb.response),
-                            "response {} vs {}", ha.response, hb.response
-                        );
+                        prop_assert_eq!(ha.response, hb.response,
+                            "response {} vs {}", ha.response, hb.response);
                     }
                 }
             }

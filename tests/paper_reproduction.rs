@@ -11,7 +11,7 @@ use gmfnet::prelude::*;
 fn figure3_and_figure4_worked_values() {
     let flow = paper_figure3_flow("video", Time::from_millis(150.0), Time::from_millis(1.0));
     assert_eq!(flow.n_frames(), 9);
-    assert!(flow.tsum().approx_eq(Time::from_millis(270.0)));
+    assert_eq!(flow.tsum(), Time::from_millis(270.0));
 
     let demand = LinkDemand::new(
         &flow,
@@ -21,11 +21,12 @@ fn figure3_and_figure4_worked_values() {
     // NSUM = 94 Ethernet frames per GOP (the paper's worked value).
     assert_eq!(demand.nsum(), 94);
     // TSUM = 270 ms.
-    assert!(demand.tsum().approx_eq(Time::from_millis(270.0)));
+    assert_eq!(demand.tsum(), Time::from_millis(270.0));
     // MFT = 12304 bits / 10^7 bit/s = 1.2304 ms (equation 1).
-    assert!(demand.mft().approx_eq(Time::from_millis(1.2304)));
-    assert!(
-        max_frame_transmission_time(BitRate::from_bps(1e7)).approx_eq(Time::from_millis(1.2304))
+    assert_eq!(demand.mft(), Time::from_millis(1.2304));
+    assert_eq!(
+        max_frame_transmission_time(BitRate::from_bps(1e7)),
+        Time::from_millis(1.2304)
     );
     // The flow alone uses ~40% of the access link.
     assert!(demand.utilization() > 0.35 && demand.utilization() < 0.45);
@@ -35,20 +36,17 @@ fn figure3_and_figure4_worked_values() {
 #[test]
 fn circ_worked_values() {
     let cfg = SwitchConfig::paper();
-    assert!(cfg.circ(4).approx_eq(Time::from_micros(14.8)));
-    assert!(cfg
-        .with_processors(16)
-        .circ(48)
-        .approx_eq(Time::from_micros(11.1)));
+    assert_eq!(cfg.circ(4), Time::from_micros(14.8));
+    assert_eq!(cfg.with_processors(16).circ(48), Time::from_micros(11.1));
 
     // In the Figure 1 network, switch 4 has exactly 4 interfaces, so its
     // CIRC matches the worked example.
     let (topology, net) = paper_figure1();
     assert_eq!(topology.n_interfaces(net.switches[0]), 4);
-    assert!(topology
-        .circ(net.switches[0])
-        .unwrap()
-        .approx_eq(Time::from_micros(14.8)));
+    assert_eq!(
+        topology.circ(net.switches[0]).unwrap(),
+        Time::from_micros(14.8)
+    );
 }
 
 /// Figure 1 + Figure 2: the example network and the example route.

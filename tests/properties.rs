@@ -69,7 +69,7 @@ proptest! {
             let t = Time::from_millis(ms);
             let mx = demand.mx(t);
             let nx = demand.nx(t);
-            prop_assert!(mx + Time::from_nanos(1.0) >= prev_mx, "MX must be monotone");
+            prop_assert!(mx >= prev_mx, "MX must be monotone");
             prop_assert!(nx >= prev_nx, "NX must be monotone");
             // MX never exceeds the window itself plus whole cycles' worth of
             // transmission time, and never exceeds demand at full rate.
@@ -81,7 +81,7 @@ proptest! {
             prev_nx = nx;
         }
         // Whole-cycle consistency.
-        prop_assert!(demand.mx(demand.tsum()).approx_eq(demand.csum()));
+        prop_assert_eq!(demand.mx(demand.tsum()), demand.csum());
         prop_assert_eq!(demand.nx(demand.tsum()), demand.nsum());
     }
 
@@ -99,11 +99,11 @@ proptest! {
         let original = LinkDemand::new(&flow, &cfg, speed);
         let collapsed = LinkDemand::new(&flow.to_sporadic_overapproximation(), &cfg, speed);
         prop_assert!(collapsed.utilization() + 1e-12 >= original.utilization());
-        prop_assert!(collapsed.max_c() + Time::from_nanos(1.0) >= original.max_c());
+        prop_assert!(collapsed.max_c() >= original.max_c());
         for ms in windows {
             let t = Time::from_millis(ms);
             prop_assert!(
-                collapsed.mx(t) + collapsed.max_c() + Time::from_nanos(1.0) >= original.mx(t)
+                collapsed.mx(t) + collapsed.max_c() >= original.mx(t)
             );
             prop_assert!(
                 collapsed.nx(t) + collapsed.max_n_ethernet_frames() >= original.nx(t)
