@@ -10,9 +10,17 @@
 //! *exactly*.  [`fixed_point`] converges when two successive iterates are
 //! equal, reports [`FixedPointOutcome::ExceededHorizon`] when the iterate
 //! passes the configured horizon or saturates at [`Time::MAX`], and gives
-//! up after a configured iteration budget.
+//! up after an iteration budget — for the analysis stages always
+//! [`MAX_FIXED_POINT_ITERATIONS`].
 
 use gmf_model::Time;
+
+/// The iteration budget of every per-stage fixed point (busy periods and
+/// queueing times).  A monotone recurrence over integer ticks either
+/// reaches its fixed point or passes the horizon long before this many
+/// steps; exhausting it means a pathological input, reported as
+/// [`crate::AnalysisError::NoConvergence`].
+pub const MAX_FIXED_POINT_ITERATIONS: usize = 100_000;
 
 /// Result of a fixed-point iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]

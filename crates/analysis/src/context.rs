@@ -191,13 +191,6 @@ impl JitterMap {
     pub fn iter(&self) -> impl Iterator<Item = (&(FlowId, ResourceId), &Vec<Time>)> {
         self.values.iter()
     }
-
-    /// Insert a whole per-(flow, resource) frame vector, replacing any
-    /// stored entry.  This is the dense engine's boundary exit
-    /// (`DenseJitters::to_keyed`).
-    pub(crate) fn insert_raw(&mut self, flow: FlowId, resource: ResourceId, values: Vec<Time>) {
-        self.values.insert((flow, resource), values);
-    }
 }
 
 /// Cached per-link demands, the dense-index plan and references to the

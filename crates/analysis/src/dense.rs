@@ -27,9 +27,8 @@
 //! The plan is immutable for the lifetime of its
 //! [`crate::context::AnalysisContext`].  The engine runs on the dense
 //! arena from seed to converged iterate; only the public
-//! `iterate_from` converts a keyed seed in ([`DenseJitters::from_keyed`])
-//! and the converged iterate back out ([`DenseJitters::to_keyed`]), while
-//! the admission plane moves whole per-flow slices
+//! `iterate_from` converts a keyed seed in ([`DenseJitters::from_keyed`]),
+//! while the admission plane moves whole per-flow slices
 //! ([`DenseJitters::flow_slots`], [`DenseJitters::load_flow`]).
 //! Every value it stores or computes is obtained by the same arithmetic, in
 //! the same order, as the keyed stage implementations, so bounds are
@@ -544,20 +543,6 @@ impl DenseJitters {
         }
     }
 
-    /// Convert back to the keyed boundary form (seed caching, public API).
-    /// Every pair is emitted, including all-zero ones — `JitterMap` treats
-    /// missing and zero entries identically, so downstream reads match.
-    pub fn to_keyed(&self, plan: &DensePlan) -> JitterMap {
-        let mut keyed = JitterMap::default();
-        for flow_plan in &plan.flows {
-            for stage in &flow_plan.stages {
-                let values = self.values[plan.range(stage.pair)].to_vec();
-                keyed.insert_raw(flow_plan.id, stage.resource, values);
-            }
-        }
-        keyed
-    }
-
     /// The jitter of `frame` at `pair` (the engine reads whole slices via
     /// [`Self::slots`]; per-slot reads are a test convenience).
     #[cfg(test)]
@@ -707,26 +692,28 @@ mod tests {
         let ctx = AnalysisContext::new(&t, &fs).unwrap();
         let plan = ctx.plan();
         let keyed = JitterMap::initial(&fs);
+        let converted = DenseJitters::from_keyed(plan, &fs, &keyed);
         let dense = DenseJitters::initial(plan, &fs);
-        // Every pair's slots and max agree with the keyed reads.
+        // Slot by slot, the converted keyed map, the dense initial map and
+        // the keyed reads agree, and so do the per-pair maxima.
         for flow_plan in &plan.flows {
             for stage in &flow_plan.stages {
                 for frame in 0..flow_plan.n_frames {
-                    assert_eq!(
-                        dense.get(plan, stage.pair, frame),
-                        keyed.get(flow_plan.id, stage.resource, frame)
-                    );
+                    let slot = dense.get(plan, stage.pair, frame);
+                    assert_eq!(converted.get(plan, stage.pair, frame), slot);
+                    assert_eq!(keyed.get(flow_plan.id, stage.resource, frame), slot);
                 }
                 assert_eq!(
-                    dense.max_jitter(stage.pair),
-                    keyed.max_jitter(flow_plan.id, stage.resource)
+                    converted.max_jitter(stage.pair),
+                    dense.max_jitter(stage.pair)
+                );
+                assert_eq!(
+                    keyed.max_jitter(flow_plan.id, stage.resource),
+                    dense.max_jitter(stage.pair)
                 );
             }
         }
-        // Keyed → dense → keyed is read-equivalent (zeros become explicit).
-        let roundtrip = DenseJitters::from_keyed(plan, &fs, &keyed);
-        assert_eq!(roundtrip, dense);
-        assert!(roundtrip.to_keyed(plan).max_abs_diff(&keyed).is_zero());
+        assert_eq!(converted, dense);
     }
 
     #[test]

@@ -29,12 +29,11 @@
 //! `CIRC(N)` service cost into the overload check because it contributes to
 //! the long-run demand of the same busy period.
 
-use crate::busy_period::FixedPointOutcome;
 use crate::config::AnalysisConfig;
 use crate::context::AnalysisContext;
-use crate::error::{AnalysisError, StageKind};
+use crate::error::AnalysisError;
 use crate::index::qw;
-use crate::kernel::KernelScratch;
+use crate::kernel::{KernelScratch, StageSolver};
 use gmf_model::Time;
 
 /// The dense per-round state of one flow's egress stage.
@@ -44,14 +43,14 @@ use gmf_model::Time;
 /// *single-frame* packets — is solved once per round at build;
 /// [`EgressDense::response`] maximises eq. (32) over the precomputed
 /// instances and adds the frame's own transmission time and the link's
-/// propagation delay (eq. 33).  Under
-/// [`AnalysisConfig::refine_egress_own_frames`], a *fragmented* frame
-/// keeps its own transmission inside the interference window, which makes
-/// its fixed points frame-dependent — those solve on demand, in the keyed
-/// walk's frame order, exactly like the keyed engine.
+/// propagation delay (eq. 33).  Under the refinement switch
+/// [`AnalysisConfig::refine`], a *fragmented* frame keeps its own
+/// transmission inside the interference window, which makes its fixed
+/// points frame-dependent — those solve on demand, in the keyed walk's
+/// frame order, exactly like the keyed engine.
 pub(crate) struct EgressDense {
-    flow: gmf_model::FlowId,
-    resource: crate::context::ResourceId,
+    solver: StageSolver,
+    refine: bool,
     circ: Time,
     tsum_i: Time,
     mft: Time,
@@ -81,19 +80,12 @@ impl EgressDense {
         stage: &crate::dense::StagePlan,
         scratch: &mut KernelScratch,
     ) -> Result<Self, AnalysisError> {
+        let solver = StageSolver::new(stage, flow, config.horizon)?;
         let circ = stage.circ;
-        if stage.utilization >= 1.0 {
-            return Err(AnalysisError::Overload {
-                stage: StageKind::EgressLink,
-                flow,
-                utilization: stage.utilization,
-                resource: stage.resource.to_string(),
-            });
-        }
         let d_i = ctx.demand_by_index(stage.own_demand);
         let tsum_i = d_i.tsum();
         let mft = d_i.mft();
-        let refine = config.refine_egress_own_frames;
+        let refine = config.refine;
         let own_frame_cost = mft + circ;
         let cycle_extra = if refine {
             d_i.csum() + own_frame_cost * d_i.nsum()
@@ -116,33 +108,7 @@ impl EgressDense {
         let resolved = &terms[terms_range.clone()];
 
         // Busy period, equations (28)–(29).
-        let busy_period = match crate::kernel::solve_mx_nx(
-            tables,
-            resolved,
-            circ,
-            busy_seed,
-            busy_seed,
-            config.horizon,
-            config.max_fixed_point_iterations,
-        ) {
-            FixedPointOutcome::Converged(t) => t,
-            FixedPointOutcome::ExceededHorizon { .. } => {
-                return Err(AnalysisError::HorizonExceeded {
-                    stage: StageKind::EgressLink,
-                    flow,
-                    horizon: config.horizon,
-                    resource: stage.resource.to_string(),
-                })
-            }
-            FixedPointOutcome::IterationBudgetExhausted { .. } => {
-                return Err(AnalysisError::NoConvergence {
-                    stage: StageKind::EgressLink,
-                    flow,
-                    iterations: config.max_fixed_point_iterations,
-                })
-            }
-        };
-
+        let busy_period = solver.mx_nx(tables, resolved, circ, busy_seed, busy_seed)?;
         let instances = busy_period.div_ceil(tsum_i).max(1);
 
         // Queueing time per instance, equations (30)–(31), for
@@ -152,38 +118,12 @@ impl EgressDense {
         let w_start = w.len();
         for q in 0..instances {
             let own = single_blocking + cycle_extra * q;
-            let wq = match crate::kernel::solve_mx_nx(
-                tables,
-                resolved,
-                circ,
-                own,
-                own,
-                config.horizon,
-                config.max_fixed_point_iterations,
-            ) {
-                FixedPointOutcome::Converged(w) => w,
-                FixedPointOutcome::ExceededHorizon { .. } => {
-                    return Err(AnalysisError::HorizonExceeded {
-                        stage: StageKind::EgressLink,
-                        flow,
-                        horizon: config.horizon,
-                        resource: stage.resource.to_string(),
-                    })
-                }
-                FixedPointOutcome::IterationBudgetExhausted { .. } => {
-                    return Err(AnalysisError::NoConvergence {
-                        stage: StageKind::EgressLink,
-                        flow,
-                        iterations: config.max_fixed_point_iterations,
-                    })
-                }
-            };
-            w.push(wq);
+            w.push(solver.mx_nx(tables, resolved, circ, own, own)?);
         }
 
         Ok(EgressDense {
-            flow,
-            resource: stage.resource,
+            solver,
+            refine,
             circ,
             tsum_i,
             mft,
@@ -198,19 +138,18 @@ impl EgressDense {
 
     /// Equations (32)–(33): maximise the response over the instances and
     /// add the frame's own transmission and the propagation delay.
-    /// Fragmented frames under the own-frames refinement solve their
-    /// frame-dependent fixed points here, in the keyed engine's order.
+    /// Fragmented frames under the refinement solve their frame-dependent
+    /// fixed points here, in the keyed engine's order.
     pub(crate) fn response(
         &self,
         ctx: &AnalysisContext<'_>,
-        config: &AnalysisConfig,
         frame: usize,
         scratch: &KernelScratch,
     ) -> Result<Time, AnalysisError> {
         let d_i = ctx.demand_by_index(self.own_demand);
         let c_k = d_i.c(frame);
         let n_k = d_i.n_ethernet_frames(frame);
-        if !(config.refine_egress_own_frames && n_k > 1) {
+        if !(self.refine && n_k > 1) {
             let mut worst = Time::ZERO;
             for (q, &wq) in scratch.w[self.w.clone()].iter().enumerate() {
                 let response = wq - self.tsum_i * qw(q) + c_k;
@@ -224,32 +163,7 @@ impl EgressDense {
         let mut worst = Time::ZERO;
         for q in 0..self.instances {
             let base = (self.mft + self.circ) * n_k + self.cycle_extra * q + c_k;
-            let r = match crate::kernel::solve_mx_nx(
-                tables,
-                resolved,
-                self.circ,
-                base,
-                base,
-                config.horizon,
-                config.max_fixed_point_iterations,
-            ) {
-                FixedPointOutcome::Converged(r) => r,
-                FixedPointOutcome::ExceededHorizon { .. } => {
-                    return Err(AnalysisError::HorizonExceeded {
-                        stage: StageKind::EgressLink,
-                        flow: self.flow,
-                        horizon: config.horizon,
-                        resource: self.resource.to_string(),
-                    })
-                }
-                FixedPointOutcome::IterationBudgetExhausted { .. } => {
-                    return Err(AnalysisError::NoConvergence {
-                        stage: StageKind::EgressLink,
-                        flow: self.flow,
-                        iterations: config.max_fixed_point_iterations,
-                    })
-                }
-            };
+            let r = self.solver.mx_nx(tables, resolved, self.circ, base, base)?;
             worst = worst.max(r - self.tsum_i * q);
         }
         Ok(worst + self.propagation)

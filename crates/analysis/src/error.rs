@@ -70,18 +70,6 @@ pub enum AnalysisError {
         /// The iteration limit that was reached.
         iterations: usize,
     },
-    /// A demand or response-time computation overflowed the representable
-    /// numeric range (e.g. a request-bound product saturated).  The true
-    /// bound is beyond anything expressible, so the flow set is treated as
-    /// unschedulable rather than silently under-approximated.
-    NumericOverflow {
-        /// Which kind of stage was being computed.
-        stage: StageKind,
-        /// The flow being analysed.
-        flow: FlowId,
-        /// Human-readable resource description.
-        resource: String,
-    },
     /// A pre-admitted flow set handed to the admission controller failed
     /// verification: one of its shards is not schedulable as given.
     PreloadUnschedulable {
@@ -137,15 +125,6 @@ impl fmt::Display for AnalysisError {
                 f,
                 "holistic jitter iteration did not converge after {iterations} iterations"
             ),
-            AnalysisError::NumericOverflow {
-                stage,
-                flow,
-                resource,
-            } => write!(
-                f,
-                "{stage} analysis of {flow}: bound computation on {resource} overflowed the \
-                 representable range (treated as unschedulable)"
-            ),
             AnalysisError::PreloadUnschedulable { shard, failure } => write!(
                 f,
                 "preloaded flow set is not schedulable: shard of flow {shard} fails ({failure})"
@@ -178,7 +157,6 @@ impl AnalysisError {
             AnalysisError::Overload { .. }
                 | AnalysisError::HorizonExceeded { .. }
                 | AnalysisError::HolisticNoConvergence { .. }
-                | AnalysisError::NumericOverflow { .. }
                 | AnalysisError::PreloadUnschedulable { .. }
         )
     }

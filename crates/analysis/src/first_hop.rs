@@ -24,19 +24,18 @@
 //! * Equation (14) seeds the busy-period iteration at 0, which is a fixed
 //!   point whenever every `extra_j` is zero; we seed at `C_i^k`, the
 //!   smallest busy period that can contain the frame under analysis.
-//! * With [`crate::AnalysisConfig::refine_first_hop_blocking`] enabled, the
+//! * With the refinement switch [`crate::AnalysisConfig::refine`] on, the
 //!   interference window of every *other* flow is widened by that flow's
 //!   largest single-frame transmission time (equivalently, the flow is
 //!   treated as having that much additional generalized jitter).  This
 //!   covers the packet that was enqueued just before the frame under
 //!   analysis even when all generalized jitters are zero.
 
-use crate::busy_period::FixedPointOutcome;
 use crate::config::AnalysisConfig;
 use crate::context::AnalysisContext;
-use crate::error::{AnalysisError, StageKind};
+use crate::error::AnalysisError;
 use crate::index::qx;
-use crate::kernel::KernelScratch;
+use crate::kernel::{KernelScratch, StageSolver};
 use gmf_model::Time;
 
 /// The dense per-round state of one flow's first-hop stage: interference
@@ -52,8 +51,7 @@ use gmf_model::Time;
 /// exactly (a later frame that needs a deeper `q` than its predecessors is
 /// the first to solve — and the first to fail — that recurrence).
 pub(crate) struct FirstHopDense {
-    flow: gmf_model::FlowId,
-    resource: crate::context::ResourceId,
+    solver: StageSolver,
     /// Every interferer's resolved term (busy-period walk), in id order.
     all_terms: std::ops::Range<usize>,
     /// The non-self terms (`w(q)` walk), in id order.
@@ -63,8 +61,8 @@ pub(crate) struct FirstHopDense {
 }
 
 impl FirstHopDense {
-    /// Resolve the stage's terms against the current iterate into the
-    /// scratch arena and run the overload check (eq. 20) — everything
+    /// Run the overload check (eq. 20) and resolve the stage's terms
+    /// against the current iterate into the scratch arena — everything
     /// frame-independent and fallible-once.
     pub(crate) fn build(
         plan: &crate::dense::DensePlan,
@@ -74,26 +72,17 @@ impl FirstHopDense {
         stage: &crate::dense::StagePlan,
         scratch: &mut KernelScratch,
     ) -> Result<Self, AnalysisError> {
-        if stage.utilization >= 1.0 {
-            return Err(AnalysisError::Overload {
-                stage: StageKind::FirstHop,
-                flow,
-                utilization: stage.utilization,
-                resource: stage.resource.to_string(),
-            });
-        }
+        let solver = StageSolver::new(stage, flow, config.horizon)?;
         // Under the blocking refinement the widening folds into `extra`
         // for every term: the plan stores `blocking_c == 0` for the
         // flow's own term, so the unconditional add matches the keyed
         // `is_self` branch bit for bit.
-        let add_blocking = config.refine_first_hop_blocking;
         let all_terms =
-            scratch.resolve_terms(plan.term_slice(&stage.all_terms), jitters, add_blocking);
+            scratch.resolve_terms(plan.term_slice(&stage.all_terms), jitters, config.refine);
         let other_terms =
-            scratch.resolve_terms(plan.term_slice(&stage.other_terms), jitters, add_blocking);
+            scratch.resolve_terms(plan.term_slice(&stage.other_terms), jitters, config.refine);
         Ok(FirstHopDense {
-            flow,
-            resource: stage.resource,
+            solver,
             all_terms,
             other_terms,
             own_demand: stage.own_demand,
@@ -107,7 +96,6 @@ impl FirstHopDense {
     pub(crate) fn response(
         &self,
         ctx: &AnalysisContext<'_>,
-        config: &AnalysisConfig,
         frame: usize,
         scratch: &mut KernelScratch,
     ) -> Result<Time, AnalysisError> {
@@ -123,32 +111,7 @@ impl FirstHopDense {
         let others = &terms[self.other_terms.clone()];
 
         // Busy period, equation (15), seeded at the frame's own C.
-        let busy_period = match crate::kernel::solve_sum_mx(
-            tables,
-            all,
-            Time::ZERO,
-            c_k,
-            config.horizon,
-            config.max_fixed_point_iterations,
-        ) {
-            FixedPointOutcome::Converged(t) => t,
-            FixedPointOutcome::ExceededHorizon { .. } => {
-                return Err(AnalysisError::HorizonExceeded {
-                    stage: StageKind::FirstHop,
-                    flow: self.flow,
-                    horizon: config.horizon,
-                    resource: self.resource.to_string(),
-                })
-            }
-            FixedPointOutcome::IterationBudgetExhausted { .. } => {
-                return Err(AnalysisError::NoConvergence {
-                    stage: StageKind::FirstHop,
-                    flow: self.flow,
-                    iterations: config.max_fixed_point_iterations,
-                })
-            }
-        };
-
+        let busy_period = self.solver.sum_mx(tables, all, Time::ZERO, c_k)?;
         let instances = busy_period.div_ceil(tsum_i).max(1);
 
         // Queueing time per instance (eqs. 16–17): frame-independent, so
@@ -157,32 +120,7 @@ impl FirstHopDense {
         for q in 0..instances {
             if first_hop_w.len() <= qx(q) {
                 let own = csum_i * q;
-                let w = match crate::kernel::solve_sum_mx(
-                    tables,
-                    others,
-                    own,
-                    own,
-                    config.horizon,
-                    config.max_fixed_point_iterations,
-                ) {
-                    FixedPointOutcome::Converged(w) => w,
-                    FixedPointOutcome::ExceededHorizon { .. } => {
-                        return Err(AnalysisError::HorizonExceeded {
-                            stage: StageKind::FirstHop,
-                            flow: self.flow,
-                            horizon: config.horizon,
-                            resource: self.resource.to_string(),
-                        })
-                    }
-                    FixedPointOutcome::IterationBudgetExhausted { .. } => {
-                        return Err(AnalysisError::NoConvergence {
-                            stage: StageKind::FirstHop,
-                            flow: self.flow,
-                            iterations: config.max_fixed_point_iterations,
-                        })
-                    }
-                };
-                first_hop_w.push(w);
+                first_hop_w.push(self.solver.sum_mx(tables, others, own, own)?);
             }
             // Equation (18).
             let response = first_hop_w[qx(q)] - tsum_i * q + c_k;

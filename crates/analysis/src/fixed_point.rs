@@ -300,28 +300,26 @@ fn evaluate_round(
     Ok((RoundOutcome::Evaluated { reports, next }, analyzed))
 }
 
-/// Everything one holistic fixed-point run produces: the report, the
-/// converged jitter map (for warm-start caching) and the run's cost.
+/// What one public holistic fixed-point run produces: the report and the
+/// run's cost.
 #[derive(Debug, Clone)]
 pub struct FixedPointRun {
     /// The analysis report (what [`analyze`] returns).
     pub report: AnalysisReport,
-    /// The converged jitter iterate `x*` — present iff the run converged.
-    /// The report's bounds are exactly the evaluation `G(x*)`, so seeding a
-    /// later warm-started run with this map reproduces them byte for byte.
-    pub jitters: Option<JitterMap>,
     /// Number of per-flow pipeline analyses performed (≈ rounds × flows
     /// analysed per round; fewer when a round aborts early).  This is the
     /// admission-control cost metric the churn experiment tracks.
     pub flow_analyses: usize,
 }
 
-/// [`FixedPointRun`] with the converged iterate left in the engine's
-/// dense arena form — what the admission plane caches flow by flow.
+/// [`FixedPointRun`] plus the converged iterate in the engine's dense
+/// arena form — what the admission plane caches flow by flow.
 pub(crate) struct DenseRun {
     /// The analysis report.
     pub report: AnalysisReport,
-    /// The converged iterate `x*` — present iff the run converged.
+    /// The converged iterate `x*` — present iff the run converged.  The
+    /// report's bounds are exactly the evaluation `G(x*)`, so seeding a
+    /// later warm-started run with it reproduces them byte for byte.
     pub jitters: Option<DenseJitters>,
     /// Number of per-flow pipeline analyses performed.
     pub flow_analyses: usize,
@@ -393,16 +391,14 @@ pub fn iterate_from(
     config: &AnalysisConfig,
     initial: JitterMap,
 ) -> Result<FixedPointRun, AnalysisError> {
-    let plan = ctx.plan();
-    let seed = DenseJitters::from_keyed(plan, ctx.flows(), &initial);
+    let seed = DenseJitters::from_keyed(ctx.plan(), ctx.flows(), &initial);
     let DenseRun {
         report,
-        jitters,
         flow_analyses,
+        ..
     } = run(ctx, config, seed, None)?;
     Ok(FixedPointRun {
         report,
-        jitters: jitters.map(|x| x.to_keyed(plan)),
         flow_analyses,
     })
 }

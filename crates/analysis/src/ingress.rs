@@ -25,19 +25,18 @@
 //! ### Deviations from the paper (documented in DESIGN.md §4)
 //!
 //! * Equation (21) seeds the busy period at 0; we seed at `CIRC(N)`.
-//! * With [`crate::AnalysisConfig::refine_ingress_own_frames`] enabled, the
+//! * With the refinement switch [`crate::AnalysisConfig::refine`] on, the
 //!   analysed flow's own fragments are charged one service round each
 //!   (`q·NSUM_i` rounds instead of `q`, and `NSUM_i^k` rounds instead of
 //!   one for the instance under analysis), which is required for the bound
 //!   to dominate the simulator when UDP packets fragment into several
 //!   Ethernet frames.
 
-use crate::busy_period::FixedPointOutcome;
 use crate::config::AnalysisConfig;
 use crate::context::AnalysisContext;
-use crate::error::{AnalysisError, StageKind};
+use crate::error::AnalysisError;
 use crate::index::qw;
-use crate::kernel::KernelScratch;
+use crate::kernel::{KernelScratch, StageSolver};
 use gmf_model::Time;
 
 /// The dense per-round state of one flow's switch-ingress stage.
@@ -52,7 +51,7 @@ pub(crate) struct IngressDense {
     circ: Time,
     tsum_i: Time,
     own_demand: u32,
-    refine_own_frames: bool,
+    refine: bool,
     /// Range into the scratch `w` arena holding `w(q)` for `q < Q_i`
     /// (eq. 24), solved at build.
     w: std::ops::Range<usize>,
@@ -70,15 +69,8 @@ impl IngressDense {
         stage: &crate::dense::StagePlan,
         scratch: &mut KernelScratch,
     ) -> Result<Self, AnalysisError> {
+        let solver = StageSolver::new(stage, flow, config.horizon)?;
         let circ = stage.circ;
-        if stage.utilization >= 1.0 {
-            return Err(AnalysisError::Overload {
-                stage: StageKind::SwitchIngress,
-                flow,
-                utilization: stage.utilization,
-                resource: stage.resource.to_string(),
-            });
-        }
         let d_i = ctx.demand_by_index(stage.own_demand);
         let tsum_i = d_i.tsum();
         let tables = ctx.tables();
@@ -93,78 +85,22 @@ impl IngressDense {
         let others = &terms[other_range];
 
         // Busy period, equation (22).
-        let busy_period = match crate::kernel::solve_sum_nx(
-            tables,
-            all,
-            circ,
-            Time::ZERO,
-            circ,
-            config.horizon,
-            config.max_fixed_point_iterations,
-        ) {
-            FixedPointOutcome::Converged(t) => t,
-            FixedPointOutcome::ExceededHorizon { .. } => {
-                return Err(AnalysisError::HorizonExceeded {
-                    stage: StageKind::SwitchIngress,
-                    flow,
-                    horizon: config.horizon,
-                    resource: stage.resource.to_string(),
-                })
-            }
-            FixedPointOutcome::IterationBudgetExhausted { .. } => {
-                return Err(AnalysisError::NoConvergence {
-                    stage: StageKind::SwitchIngress,
-                    flow,
-                    iterations: config.max_fixed_point_iterations,
-                })
-            }
-        };
-
+        let busy_period = solver.sum_nx(tables, all, circ, Time::ZERO, circ)?;
         let instances = busy_period.div_ceil(tsum_i).max(1);
-        let own_rounds_per_cycle: u64 = if config.refine_ingress_own_frames {
-            d_i.nsum()
-        } else {
-            1
-        };
+        let own_rounds_per_cycle: u64 = if config.refine { d_i.nsum() } else { 1 };
 
         // Queueing time per instance, equation (24).
         let w_start = w.len();
         for q in 0..instances {
             let own = circ * q.saturating_mul(own_rounds_per_cycle);
-            let wq = match crate::kernel::solve_sum_nx(
-                tables,
-                others,
-                circ,
-                own,
-                own,
-                config.horizon,
-                config.max_fixed_point_iterations,
-            ) {
-                FixedPointOutcome::Converged(w) => w,
-                FixedPointOutcome::ExceededHorizon { .. } => {
-                    return Err(AnalysisError::HorizonExceeded {
-                        stage: StageKind::SwitchIngress,
-                        flow,
-                        horizon: config.horizon,
-                        resource: stage.resource.to_string(),
-                    })
-                }
-                FixedPointOutcome::IterationBudgetExhausted { .. } => {
-                    return Err(AnalysisError::NoConvergence {
-                        stage: StageKind::SwitchIngress,
-                        flow,
-                        iterations: config.max_fixed_point_iterations,
-                    })
-                }
-            };
-            w.push(wq);
+            w.push(solver.sum_nx(tables, others, circ, own, own)?);
         }
 
         Ok(IngressDense {
             circ,
             tsum_i,
             own_demand: stage.own_demand,
-            refine_own_frames: config.refine_ingress_own_frames,
+            refine: config.refine,
             w: w_start..w.len(),
         })
     }
@@ -177,7 +113,7 @@ impl IngressDense {
         frame: usize,
         scratch: &KernelScratch,
     ) -> Time {
-        let own_rounds_final: u64 = if self.refine_own_frames {
+        let own_rounds_final: u64 = if self.refine {
             ctx.demand_by_index(self.own_demand)
                 .n_ethernet_frames(frame)
         } else {

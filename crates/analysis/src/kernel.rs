@@ -7,10 +7,11 @@
 //! through [`crate::busy_period::fixed_point`] with a closure per call
 //! site; the closures capture `Vec`s of `(demand, extra)` pairs and
 //! re-derive the `O(n³)` closed-form `MX`/`NX` on every iteration.  This
-//! module is the production replacement: the three solvers below drive the
-//! same [`fixed_point`] loop over flat slices of resolved [`Term`]s and the
-//! context's precompiled [`DemandTable`]s — no allocation, only saturating
-//! integer ops and one binary search per table lookup.
+//! module is the production replacement: the three [`StageSolver`]
+//! recurrences drive the same [`fixed_point`] loop over flat slices of
+//! resolved [`Term`]s and the context's precompiled [`DemandTable`]s — no
+//! allocation, only saturating integer ops and one binary search per table
+//! lookup — and turn its outcome into the stage's result in one place.
 //!
 //! Identity with the keyed path follows from exactness: the table lookups
 //! equal the closed forms, and integer `Time` addition is associative, so
@@ -21,10 +22,12 @@
 //! fixed-point run and reset per flow, so the per-frame path performs no
 //! heap allocation at all.
 
-use crate::busy_period::{fixed_point, FixedPointOutcome};
-use crate::dense::{DenseJitters, TermSpec};
+use crate::busy_period::{fixed_point, FixedPointOutcome, MAX_FIXED_POINT_ITERATIONS};
+use crate::context::ResourceId;
+use crate::dense::{DenseJitters, StagePlan, TermSpec};
+use crate::error::{AnalysisError, StageKind};
 use crate::index::ux;
-use gmf_model::{DemandTable, Time};
+use gmf_model::{DemandTable, FlowId, Time};
 
 /// One resolved interference term: a demand table plus the constant
 /// window widening (`extra_j`, and at the first hop the blocking
@@ -96,64 +99,134 @@ impl KernelScratch {
     }
 }
 
-/// Least fixed point of `x = base + Σ_j MX_j(x + extra_j)` — the
-/// first-hop busy period (eq. 15, `base` zero) and queueing time (eq. 17,
-/// `base` the instance's own backlog) recurrences.
-pub(crate) fn solve_sum_mx(
-    tables: &[DemandTable],
-    terms: &[Term],
-    base: Time,
-    seed: Time,
+/// The one fallible solve of the dense stages: the `(stage, flow,
+/// resource)` triple a stage state's fixed points run for and the horizon
+/// they diverge at.
+///
+/// [`StageSolver::new`] runs the stage's overload check, so building the
+/// solver first keeps every stage's error precedence: overload before any
+/// fixed point.  The three recurrences below map a diverged or exhausted
+/// iteration to the stage's [`AnalysisError::HorizonExceeded`] or
+/// [`AnalysisError::NoConvergence`], formatting the resource only on that
+/// error path.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StageSolver {
+    stage: StageKind,
+    flow: FlowId,
+    resource: ResourceId,
     horizon: Time,
-    max_iterations: usize,
-) -> FixedPointOutcome {
-    fixed_point(seed, horizon, max_iterations, |current| {
-        terms.iter().fold(base, |next, term| {
-            next + tables[ux(term.table)].mx(current + term.extra)
-        })
-    })
 }
 
-/// Least fixed point of `x = base + CIRC · Σ_j NX_j(x + extra_j)` with the
-/// round count accumulated in saturating `u64` — the switch-ingress busy
-/// period (eq. 22, `base` zero) and queueing time (eq. 24, `base` the
-/// instance's own rounds) recurrences.
-pub(crate) fn solve_sum_nx(
-    tables: &[DemandTable],
-    terms: &[Term],
-    circ: Time,
-    base: Time,
-    seed: Time,
-    horizon: Time,
-    max_iterations: usize,
-) -> FixedPointOutcome {
-    fixed_point(seed, horizon, max_iterations, |current| {
-        let rounds = terms.iter().fold(0u64, |rounds, term| {
-            rounds.saturating_add(tables[ux(term.table)].nx(current + term.extra))
-        });
-        base + circ * rounds
-    })
-}
-
-/// Least fixed point of
-/// `x = base + Σ_j (MX_j(x + extra_j) + CIRC · NX_j(x + extra_j))` — the
-/// egress busy period and queueing recurrences (eqs. 29, 31).
-pub(crate) fn solve_mx_nx(
-    tables: &[DemandTable],
-    terms: &[Term],
-    circ: Time,
-    base: Time,
-    seed: Time,
-    horizon: Time,
-    max_iterations: usize,
-) -> FixedPointOutcome {
-    fixed_point(seed, horizon, max_iterations, |current| {
-        terms.iter().fold(base, |next, term| {
-            let d = &tables[ux(term.table)];
-            let window = current + term.extra;
-            next + d.mx(window) + circ * d.nx(window)
+impl StageSolver {
+    /// The solver of `stage` for `flow`, or the stage's overload error:
+    /// the long-run demand of paper conditions (20) and (34), and of the
+    /// ingress analogue, must stay below the resource's capacity.
+    pub(crate) fn new(
+        stage: &StagePlan,
+        flow: FlowId,
+        horizon: Time,
+    ) -> Result<StageSolver, AnalysisError> {
+        if stage.utilization >= 1.0 {
+            return Err(AnalysisError::Overload {
+                stage: stage.stage,
+                flow,
+                utilization: stage.utilization,
+                resource: stage.resource.to_string(),
+            });
+        }
+        Ok(StageSolver {
+            stage: stage.stage,
+            flow,
+            resource: stage.resource,
+            horizon,
         })
-    })
+    }
+
+    /// Least fixed point of `x = base + Σ_j MX_j(x + extra_j)` — the
+    /// first-hop busy period (eq. 15, `base` zero) and queueing time
+    /// (eq. 17, `base` the instance's own backlog) recurrences.
+    pub(crate) fn sum_mx(
+        &self,
+        tables: &[DemandTable],
+        terms: &[Term],
+        base: Time,
+        seed: Time,
+    ) -> Result<Time, AnalysisError> {
+        self.solve(seed, |current| {
+            terms.iter().fold(base, |next, term| {
+                next + tables[ux(term.table)].mx(current + term.extra)
+            })
+        })
+    }
+
+    /// Least fixed point of `x = base + CIRC · Σ_j NX_j(x + extra_j)` with
+    /// the round count accumulated in saturating `u64` — the switch-ingress
+    /// busy period (eq. 22, `base` zero) and queueing time (eq. 24, `base`
+    /// the instance's own rounds) recurrences.
+    pub(crate) fn sum_nx(
+        &self,
+        tables: &[DemandTable],
+        terms: &[Term],
+        circ: Time,
+        base: Time,
+        seed: Time,
+    ) -> Result<Time, AnalysisError> {
+        self.solve(seed, |current| {
+            let rounds = terms.iter().fold(0u64, |rounds, term| {
+                rounds.saturating_add(tables[ux(term.table)].nx(current + term.extra))
+            });
+            base + circ * rounds
+        })
+    }
+
+    /// Least fixed point of
+    /// `x = base + Σ_j (MX_j(x + extra_j) + CIRC · NX_j(x + extra_j))` —
+    /// the egress busy period and queueing recurrences (eqs. 29, 31).
+    pub(crate) fn mx_nx(
+        &self,
+        tables: &[DemandTable],
+        terms: &[Term],
+        circ: Time,
+        base: Time,
+        seed: Time,
+    ) -> Result<Time, AnalysisError> {
+        self.solve(seed, |current| {
+            terms.iter().fold(base, |next, term| {
+                let d = &tables[ux(term.table)];
+                let window = current + term.extra;
+                next + d.mx(window) + circ * d.nx(window)
+            })
+        })
+    }
+
+    fn solve(&self, seed: Time, f: impl FnMut(Time) -> Time) -> Result<Time, AnalysisError> {
+        self.settle(fixed_point(
+            seed,
+            self.horizon,
+            MAX_FIXED_POINT_ITERATIONS,
+            f,
+        ))
+    }
+
+    /// The single mapping from a fixed-point outcome to the stage's result.
+    fn settle(&self, outcome: FixedPointOutcome) -> Result<Time, AnalysisError> {
+        match outcome {
+            FixedPointOutcome::Converged(t) => Ok(t),
+            FixedPointOutcome::ExceededHorizon { .. } => Err(AnalysisError::HorizonExceeded {
+                stage: self.stage,
+                flow: self.flow,
+                horizon: self.horizon,
+                resource: self.resource.to_string(),
+            }),
+            FixedPointOutcome::IterationBudgetExhausted { .. } => {
+                Err(AnalysisError::NoConvergence {
+                    stage: self.stage,
+                    flow: self.flow,
+                    iterations: MAX_FIXED_POINT_ITERATIONS,
+                })
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -192,6 +265,18 @@ mod tests {
         ]
     }
 
+    fn solver(horizon: Time) -> StageSolver {
+        StageSolver {
+            stage: StageKind::EgressLink,
+            flow: FlowId(3),
+            resource: ResourceId::Link {
+                from: gmf_net::NodeId(4),
+                to: gmf_net::NodeId(6),
+            },
+            horizon,
+        }
+    }
+
     /// Each solver must agree bit-for-bit with `fixed_point` driven by the
     /// equivalent closure over the same tables.
     #[test]
@@ -199,8 +284,10 @@ mod tests {
         let tables = tables();
         let terms = terms();
         let horizon = Time::from_secs(10.0);
+        let solver = solver(horizon);
         let base = Time::from_millis(2.0);
         let circ = Time::from_micros(120.0);
+        let converged = |outcome: FixedPointOutcome| Ok(outcome.converged().unwrap());
 
         let expected = fixed_point(base, horizon, 10_000, |t| {
             let mut total = base;
@@ -209,9 +296,10 @@ mod tests {
             }
             total
         });
-        let got = solve_sum_mx(&tables, &terms, base, base, horizon, 10_000);
-        assert_eq!(got, expected);
-        assert!(got.converged().is_some());
+        assert_eq!(
+            solver.sum_mx(&tables, &terms, base, base),
+            converged(expected)
+        );
 
         let expected = fixed_point(base, horizon, 10_000, |t| {
             let mut rounds: u64 = 0;
@@ -220,8 +308,10 @@ mod tests {
             }
             base + circ * rounds
         });
-        let got = solve_sum_nx(&tables, &terms, circ, base, base, horizon, 10_000);
-        assert_eq!(got, expected);
+        assert_eq!(
+            solver.sum_nx(&tables, &terms, circ, base, base),
+            converged(expected)
+        );
 
         let expected = fixed_point(base, horizon, 10_000, |t| {
             let mut total = Time::ZERO;
@@ -232,38 +322,34 @@ mod tests {
             }
             base + total
         });
-        let got = solve_mx_nx(&tables, &terms, circ, base, base, horizon, 10_000);
-        assert_eq!(got, expected);
+        assert_eq!(
+            solver.mx_nx(&tables, &terms, circ, base, base),
+            converged(expected)
+        );
     }
 
-    /// The solvers report the same horizon/budget outcomes as the generic
-    /// iterator under overload and tiny budgets.
+    /// A diverged or exhausted iteration becomes the stage's error, naming
+    /// the stage, flow, resource and horizon or budget.
     #[test]
     fn solvers_report_divergence_like_fixed_point() {
         let tables = tables();
         let terms = terms();
         let base = Time::from_millis(2.0);
         // A horizon below the seed diverges immediately.
-        let got = solve_sum_mx(&tables, &terms, base, base, Time::from_micros(1.0), 100);
+        let solver = solver(Time::from_micros(1.0));
+        let err = solver.sum_mx(&tables, &terms, base, base).unwrap_err();
         assert_eq!(
-            got,
-            FixedPointOutcome::ExceededHorizon { last: base },
-            "horizon below seed"
+            err.to_string(),
+            "egress link analysis of flow3: busy period on link(4,6) exceeded the horizon \
+             1.000 µs"
         );
-        // A one-iteration budget on a non-trivial recurrence exhausts.
-        let got = solve_mx_nx(
-            &tables,
-            &terms,
-            Time::from_micros(120.0),
-            base,
-            base,
-            Time::from_secs(10.0),
-            1,
+        let err = solver
+            .settle(FixedPointOutcome::IterationBudgetExhausted { last: base })
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "egress link analysis of flow3: no convergence after 100000 iterations"
         );
-        assert!(matches!(
-            got,
-            FixedPointOutcome::IterationBudgetExhausted { .. }
-        ));
     }
 
     /// The scratch arena reuses capacity across resets and resolves term

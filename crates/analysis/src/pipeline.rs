@@ -103,9 +103,9 @@ pub(crate) fn analyze_flow_dense(
                 });
             }
             let response = match &mut states[index] {
-                StageState::First(state) => state.response(ctx, config, frame, scratch)?,
+                StageState::First(state) => state.response(ctx, frame, scratch)?,
                 StageState::Ingress(state) => state.response(ctx, frame, scratch),
-                StageState::Egress(state) => state.response(ctx, config, frame, scratch)?,
+                StageState::Egress(state) => state.response(ctx, frame, scratch)?,
             };
             hops.push(HopBound {
                 resource: stage.resource,

@@ -4,7 +4,7 @@
 //! egress stage in `gmf-analysis` is checked against it.
 
 use crate::stage::StageResult;
-use gmf_analysis::busy_period::{fixed_point, FixedPointOutcome};
+use gmf_analysis::busy_period::{fixed_point, FixedPointOutcome, MAX_FIXED_POINT_ITERATIONS};
 use gmf_analysis::config::AnalysisConfig;
 use gmf_analysis::context::{AnalysisContext, JitterMap, ResourceId};
 use gmf_analysis::error::{AnalysisError, StageKind};
@@ -37,7 +37,7 @@ pub fn egress_response(
     let n_k = d_i.n_ethernet_frames(frame);
     let tsum_i = d_i.tsum();
     let mft = d_i.mft();
-    let refine = config.refine_egress_own_frames;
+    let refine = config.refine;
     // Per-own-Ethernet-frame charges under the refinement.  The printed
     // equations charge one MFT of non-preemptive blocking and no send-task
     // service wait for the packet's own frames; in the Click switch every
@@ -99,29 +99,27 @@ pub fn egress_response(
         total
     };
 
-    let busy_period = match fixed_point(
-        busy_seed,
-        config.horizon,
-        config.max_fixed_point_iterations,
-        |t| busy_seed + interference(t, &extras),
-    ) {
-        FixedPointOutcome::Converged(t) => t,
-        FixedPointOutcome::ExceededHorizon { .. } => {
-            return Err(AnalysisError::HorizonExceeded {
-                stage: StageKind::EgressLink,
-                flow,
-                horizon: config.horizon,
-                resource: resource_name,
-            })
-        }
-        FixedPointOutcome::IterationBudgetExhausted { .. } => {
-            return Err(AnalysisError::NoConvergence {
-                stage: StageKind::EgressLink,
-                flow,
-                iterations: config.max_fixed_point_iterations,
-            })
-        }
-    };
+    let busy_period =
+        match fixed_point(busy_seed, config.horizon, MAX_FIXED_POINT_ITERATIONS, |t| {
+            busy_seed + interference(t, &extras)
+        }) {
+            FixedPointOutcome::Converged(t) => t,
+            FixedPointOutcome::ExceededHorizon { .. } => {
+                return Err(AnalysisError::HorizonExceeded {
+                    stage: StageKind::EgressLink,
+                    flow,
+                    horizon: config.horizon,
+                    resource: resource_name,
+                })
+            }
+            FixedPointOutcome::IterationBudgetExhausted { .. } => {
+                return Err(AnalysisError::NoConvergence {
+                    stage: StageKind::EgressLink,
+                    flow,
+                    iterations: MAX_FIXED_POINT_ITERATIONS,
+                })
+            }
+        };
 
     let instances = busy_period.div_ceil(tsum_i).max(1);
 
@@ -136,12 +134,9 @@ pub fn egress_response(
         let own = blocking_k + cycle_extra * q;
         let fragmented = refine && n_k > 1;
         let seed = if fragmented { own + c_k } else { own };
-        let w = match fixed_point(
-            seed,
-            config.horizon,
-            config.max_fixed_point_iterations,
-            |w| seed + interference(w, &extras),
-        ) {
+        let w = match fixed_point(seed, config.horizon, MAX_FIXED_POINT_ITERATIONS, |w| {
+            seed + interference(w, &extras)
+        }) {
             FixedPointOutcome::Converged(w) => w,
             FixedPointOutcome::ExceededHorizon { .. } => {
                 return Err(AnalysisError::HorizonExceeded {
@@ -155,7 +150,7 @@ pub fn egress_response(
                 return Err(AnalysisError::NoConvergence {
                     stage: StageKind::EgressLink,
                     flow,
-                    iterations: config.max_fixed_point_iterations,
+                    iterations: MAX_FIXED_POINT_ITERATIONS,
                 })
             }
         };
@@ -327,10 +322,9 @@ mod tests {
             );
         }
         let printed = AnalysisConfig::paper();
-        let refined = AnalysisConfig {
-            refine_egress_own_frames: true,
-            ..AnalysisConfig::paper()
-        };
+        // The refinement switch; the egress stage reads only its
+        // own-frames part.
+        let refined = AnalysisConfig::conservative();
         let r_printed = egress_response(&ctx, &jitters, &printed, FlowId(0), 0, SW4).unwrap();
         let r_refined = egress_response(&ctx, &jitters, &refined, FlowId(0), 0, SW4).unwrap();
         assert!(

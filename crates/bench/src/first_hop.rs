@@ -4,7 +4,7 @@
 //! first-hop stage in `gmf-analysis` is checked against it.
 
 use crate::stage::StageResult;
-use gmf_analysis::busy_period::{fixed_point, FixedPointOutcome};
+use gmf_analysis::busy_period::{fixed_point, FixedPointOutcome, MAX_FIXED_POINT_ITERATIONS};
 use gmf_analysis::config::AnalysisConfig;
 use gmf_analysis::context::{AnalysisContext, JitterMap, ResourceId};
 use gmf_analysis::error::{AnalysisError, StageKind};
@@ -60,7 +60,7 @@ pub fn first_hop_response(
         .iter()
         .map(|&j| {
             let mut extra = jitters.max_jitter(j, resource);
-            if config.refine_first_hop_blocking && j != flow {
+            if config.refine && j != flow {
                 extra += ctx.demand(j, source, succ).max_c();
             }
             (j, extra)
@@ -68,18 +68,13 @@ pub fn first_hop_response(
         .collect();
 
     // Busy period, equation (15).
-    let busy_period = match fixed_point(
-        c_k,
-        config.horizon,
-        config.max_fixed_point_iterations,
-        |t| {
-            let mut total = Time::ZERO;
-            for (j, extra) in &extras {
-                total += ctx.demand(*j, source, succ).mx(t + *extra);
-            }
-            total
-        },
-    ) {
+    let busy_period = match fixed_point(c_k, config.horizon, MAX_FIXED_POINT_ITERATIONS, |t| {
+        let mut total = Time::ZERO;
+        for (j, extra) in &extras {
+            total += ctx.demand(*j, source, succ).mx(t + *extra);
+        }
+        total
+    }) {
         FixedPointOutcome::Converged(t) => t,
         FixedPointOutcome::ExceededHorizon { .. } => {
             return Err(AnalysisError::HorizonExceeded {
@@ -93,7 +88,7 @@ pub fn first_hop_response(
             return Err(AnalysisError::NoConvergence {
                 stage: StageKind::FirstHop,
                 flow,
-                iterations: config.max_fixed_point_iterations,
+                iterations: MAX_FIXED_POINT_ITERATIONS,
             })
         }
     };
@@ -105,21 +100,16 @@ pub fn first_hop_response(
     let mut worst = Time::ZERO;
     for q in 0..instances {
         let own = d_i.csum() * q;
-        let w = match fixed_point(
-            own,
-            config.horizon,
-            config.max_fixed_point_iterations,
-            |w| {
-                let mut total = own;
-                for (j, extra) in &extras {
-                    if *j == flow {
-                        continue;
-                    }
-                    total += ctx.demand(*j, source, succ).mx(w + *extra);
+        let w = match fixed_point(own, config.horizon, MAX_FIXED_POINT_ITERATIONS, |w| {
+            let mut total = own;
+            for (j, extra) in &extras {
+                if *j == flow {
+                    continue;
                 }
-                total
-            },
-        ) {
+                total += ctx.demand(*j, source, succ).mx(w + *extra);
+            }
+            total
+        }) {
             FixedPointOutcome::Converged(w) => w,
             FixedPointOutcome::ExceededHorizon { .. } => {
                 return Err(AnalysisError::HorizonExceeded {
@@ -133,7 +123,7 @@ pub fn first_hop_response(
                 return Err(AnalysisError::NoConvergence {
                     stage: StageKind::FirstHop,
                     flow,
-                    iterations: config.max_fixed_point_iterations,
+                    iterations: MAX_FIXED_POINT_ITERATIONS,
                 })
             }
         };

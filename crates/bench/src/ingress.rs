@@ -4,7 +4,7 @@
 //! ingress stage in `gmf-analysis` is checked against it.
 
 use crate::stage::StageResult;
-use gmf_analysis::busy_period::{fixed_point, FixedPointOutcome};
+use gmf_analysis::busy_period::{fixed_point, FixedPointOutcome, MAX_FIXED_POINT_ITERATIONS};
 use gmf_analysis::config::AnalysisConfig;
 use gmf_analysis::context::{AnalysisContext, JitterMap, ResourceId};
 use gmf_analysis::error::{AnalysisError, StageKind};
@@ -63,18 +63,13 @@ pub fn ingress_response(
         .collect();
 
     // Busy period, equation (22).
-    let busy_period = match fixed_point(
-        circ,
-        config.horizon,
-        config.max_fixed_point_iterations,
-        |t| {
-            let mut rounds: u64 = 0;
-            for (j, extra) in &extras {
-                rounds = rounds.saturating_add(ctx.demand(*j, prec, node).nx(t + *extra));
-            }
-            circ * rounds
-        },
-    ) {
+    let busy_period = match fixed_point(circ, config.horizon, MAX_FIXED_POINT_ITERATIONS, |t| {
+        let mut rounds: u64 = 0;
+        for (j, extra) in &extras {
+            rounds = rounds.saturating_add(ctx.demand(*j, prec, node).nx(t + *extra));
+        }
+        circ * rounds
+    }) {
         FixedPointOutcome::Converged(t) => t,
         FixedPointOutcome::ExceededHorizon { .. } => {
             return Err(AnalysisError::HorizonExceeded {
@@ -88,7 +83,7 @@ pub fn ingress_response(
             return Err(AnalysisError::NoConvergence {
                 stage: StageKind::SwitchIngress,
                 flow,
-                iterations: config.max_fixed_point_iterations,
+                iterations: MAX_FIXED_POINT_ITERATIONS,
             })
         }
     };
@@ -96,12 +91,8 @@ pub fn ingress_response(
     let instances = busy_period.div_ceil(tsum_i).max(1);
 
     // Service rounds charged to the analysed flow itself.
-    let own_rounds_per_cycle: u64 = if config.refine_ingress_own_frames {
-        d_i.nsum()
-    } else {
-        1
-    };
-    let own_rounds_final: u64 = if config.refine_ingress_own_frames {
+    let own_rounds_per_cycle: u64 = if config.refine { d_i.nsum() } else { 1 };
+    let own_rounds_final: u64 = if config.refine {
         d_i.n_ethernet_frames(frame)
     } else {
         1
@@ -110,21 +101,16 @@ pub fn ingress_response(
     let mut worst = Time::ZERO;
     for q in 0..instances {
         let own = circ * q.saturating_mul(own_rounds_per_cycle);
-        let w = match fixed_point(
-            own,
-            config.horizon,
-            config.max_fixed_point_iterations,
-            |w| {
-                let mut rounds: u64 = 0;
-                for (j, extra) in &extras {
-                    if *j == flow {
-                        continue;
-                    }
-                    rounds = rounds.saturating_add(ctx.demand(*j, prec, node).nx(w + *extra));
+        let w = match fixed_point(own, config.horizon, MAX_FIXED_POINT_ITERATIONS, |w| {
+            let mut rounds: u64 = 0;
+            for (j, extra) in &extras {
+                if *j == flow {
+                    continue;
                 }
-                own + circ * rounds
-            },
-        ) {
+                rounds = rounds.saturating_add(ctx.demand(*j, prec, node).nx(w + *extra));
+            }
+            own + circ * rounds
+        }) {
             FixedPointOutcome::Converged(w) => w,
             FixedPointOutcome::ExceededHorizon { .. } => {
                 return Err(AnalysisError::HorizonExceeded {
@@ -138,7 +124,7 @@ pub fn ingress_response(
                 return Err(AnalysisError::NoConvergence {
                     stage: StageKind::SwitchIngress,
                     flow,
-                    iterations: config.max_fixed_point_iterations,
+                    iterations: MAX_FIXED_POINT_ITERATIONS,
                 })
             }
         };

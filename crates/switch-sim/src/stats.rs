@@ -149,11 +149,6 @@ impl ResponseHistogram {
     }
 }
 
-/// Maximum number of raw samples retained when `SimConfig::keep_samples`
-/// is on.  Percentiles come from the streaming histogram, so retention is a
-/// debug aid only; the cap bounds its memory on long-horizon runs.
-pub const MAX_KEPT_SAMPLES: usize = 1_000_000;
-
 /// Aggregated statistics of one (flow, GMF frame index) pair.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ResponseStats {
@@ -239,12 +234,6 @@ fn response_ns(response: Time) -> u64 {
 pub struct SimStats {
     /// Per (flow, GMF frame index) aggregates.
     per_frame: BTreeMap<(FlowId, usize), ResponseStats>,
-    /// Raw samples (kept only when sample recording is enabled).
-    samples: Vec<PacketSample>,
-    /// Whether raw samples are retained.
-    keep_samples: bool,
-    /// Number of raw samples dropped after [`MAX_KEPT_SAMPLES`] was hit.
-    pub samples_truncated: u64,
     /// Number of packets released at sources.
     pub packets_released: u64,
     /// Number of packets fully received at their destinations.
@@ -254,14 +243,6 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Create an empty statistics collector.
-    pub fn new(keep_samples: bool) -> Self {
-        SimStats {
-            keep_samples,
-            ..SimStats::default()
-        }
-    }
-
     /// Record a completed packet.
     pub fn record(&mut self, sample: PacketSample) {
         self.packets_completed += 1;
@@ -269,20 +250,6 @@ impl SimStats {
             .entry((sample.flow, sample.gmf_frame))
             .or_default()
             .record(sample.response_time());
-        if self.keep_samples {
-            if self.samples.len() < MAX_KEPT_SAMPLES {
-                self.samples.push(sample);
-            } else {
-                if self.samples_truncated == 0 {
-                    eprintln!(
-                        "warning: keep_samples hit the {MAX_KEPT_SAMPLES}-sample \
-                         retention cap; further samples are dropped (percentiles still \
-                         come from the streaming histogram)"
-                    );
-                }
-                self.samples_truncated += 1;
-            }
-        }
     }
 
     /// Aggregates of a specific (flow, GMF frame) pair.
@@ -318,12 +285,6 @@ impl SimStats {
     pub fn per_frame(&self) -> impl Iterator<Item = (&(FlowId, usize), &ResponseStats)> {
         self.per_frame.iter()
     }
-
-    /// Raw samples (empty unless sample recording was enabled; capped at
-    /// [`MAX_KEPT_SAMPLES`] — see [`SimStats::samples_truncated`]).
-    pub fn samples(&self) -> &[PacketSample] {
-        &self.samples
-    }
 }
 
 #[cfg(test)]
@@ -354,7 +315,7 @@ mod tests {
 
     #[test]
     fn aggregates_track_min_max_mean() {
-        let mut stats = SimStats::new(true);
+        let mut stats = SimStats::default();
         stats.record(sample(0, 0, 0, 0.0, 2.0));
         stats.record(sample(0, 1, 0, 10.0, 16.0));
         stats.record(sample(0, 2, 0, 20.0, 21.0));
@@ -363,13 +324,12 @@ mod tests {
         assert_eq!(agg.max, Time::from_millis(6.0));
         assert_eq!(agg.min, Time::from_millis(1.0));
         assert_eq!(agg.mean(), Time::from_millis(3.0));
-        assert_eq!(stats.samples().len(), 3);
         assert_eq!(stats.packets_completed, 3);
     }
 
     #[test]
     fn per_flow_queries() {
-        let mut stats = SimStats::new(false);
+        let mut stats = SimStats::default();
         stats.record(sample(0, 0, 0, 0.0, 5.0));
         stats.record(sample(0, 1, 1, 30.0, 32.0));
         stats.record(sample(1, 0, 0, 0.0, 1.0));
@@ -385,8 +345,6 @@ mod tests {
         assert_eq!(stats.completed_of_flow(FlowId(0)), 2);
         assert_eq!(stats.completed_of_flow(FlowId(2)), 0);
         assert_eq!(stats.worst_response(FlowId(9)), None);
-        // Samples were not kept.
-        assert!(stats.samples().is_empty());
         assert_eq!(stats.per_frame().count(), 3);
     }
 
@@ -395,7 +353,7 @@ mod tests {
     /// sort first, last and absent.
     #[test]
     fn range_queries_are_equivalent_to_full_scans() {
-        let mut stats = SimStats::new(false);
+        let mut stats = SimStats::default();
         let mut seq = 0;
         for flow in [0usize, 1, 2, 5, usize::MAX] {
             for frame in [0usize, 1, 3, usize::MAX] {
@@ -582,17 +540,5 @@ mod tests {
                 prop_assert!(bucket_high(index - 1) < ns);
             }
         }
-    }
-
-    #[test]
-    fn sample_retention_caps_loudly() {
-        let mut stats = SimStats::new(true);
-        // Synthetic: pretend the cap is hit by filling to it directly.
-        stats.samples = vec![sample(0, 0, 0, 0.0, 1.0); MAX_KEPT_SAMPLES];
-        stats.record(sample(0, 1, 0, 0.0, 1.0));
-        assert_eq!(stats.samples().len(), MAX_KEPT_SAMPLES);
-        assert_eq!(stats.samples_truncated, 1);
-        // Aggregates still see the dropped sample.
-        assert_eq!(stats.packets_completed, 1);
     }
 }
