@@ -3,8 +3,8 @@
 //!
 //! The response-time equations repeatedly evaluate the request-bound
 //! functions of every flow on every link it traverses, so the per-link
-//! [`LinkDemand`]s are computed once per `(flow, link)` pair and cached in
-//! an [`AnalysisContext`].
+//! [`LinkDemand`]s are computed once per `(flow, link speed)` pair and
+//! cached in an [`AnalysisContext`].
 //!
 //! The *generalized-jitter map* holds `GJ_i^{k,resource}` — the jitter of
 //! frame `k` of flow `i` when it reaches `resource` — for every resource of
@@ -198,7 +198,7 @@ impl JitterMap {
 ///
 /// The context is read-only during a single holistic round; the jitter map
 /// is threaded separately so that rounds are explicit.  Construction
-/// compiles every flow's per-hop demands and tables, interns flows and
+/// compiles every flow's demands and tables, interns flows and
 /// their `(flow, resource)` pairs into dense indices and precomputes every
 /// flow's per-stage
 /// interference tables (the crate-private `dense` plan) — the engine's hot
@@ -207,37 +207,39 @@ impl JitterMap {
 pub struct AnalysisContext<'a> {
     topology: &'a Topology,
     flows: &'a FlowSet,
-    /// Demand storage, indexed by the dense plan's demand ids: each flow's
-    /// demands on the hops of its route, in hop order, from its
-    /// `demand_start`.  Owned when the context compiled them itself,
-    /// borrowed from an admission lane's [`CompiledDemands`] otherwise
-    /// (which may also hold flows outside this context).
-    demands: Cow<'a, [LinkDemand]>,
-    /// Precompiled prefix-maximum tables, parallel to `demands` (same
-    /// index space) — the only demand view the per-frame kernels touch.
-    tables: Cow<'a, [DemandTable]>,
-    /// Flow index → demand id of the first hop of its route.
-    demand_start: Vec<u32>,
+    /// The flows' demands, tables and per-hop demand ids.  Owned when the
+    /// context compiled them itself, borrowed from an admission lane
+    /// otherwise (which may also hold flows outside this context).
+    compiled: Cow<'a, CompiledDemands>,
+    /// Flow index → position of its first hop in `compiled.hop_demands`.
+    hop_start: Vec<u32>,
     /// The interner and interference tables.
     plan: crate::dense::DensePlan,
 }
 
-/// Compiled demands and demand tables of a growing set of flows: every
-/// flow's [`LinkDemand`] and [`DemandTable`] on each hop of its route, in
-/// hop order, stored contiguously.  [`AnalysisContext::new`] compiles its
-/// flows into a fresh one and owns it.  An admission lane keeps one for
-/// its whole run — its trials share topology and bindings, so a flow
-/// compiles identically in every trial — and drops it when the lane ends.
-#[derive(Debug, Default)]
+/// Compiled demands and demand tables of a growing set of flows.  A
+/// flow's demand depends on a link only through its speed (eqs. 1–13),
+/// so each flow gets one [`LinkDemand`] and [`DemandTable`] per distinct
+/// link speed of its route, and every hop records which of them it uses.
+/// [`AnalysisContext::new`] compiles its flows into a fresh one and owns
+/// it.  An admission lane keeps one for its whole run — its trials share
+/// topology and bindings, so a flow compiles identically in every trial —
+/// and drops it when the lane ends.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CompiledDemands {
+    /// Indexed by the dense plan's demand ids.
     demands: Vec<LinkDemand>,
+    /// Precompiled prefix-maximum tables, parallel to `demands` — the only
+    /// demand view the per-frame kernels touch.
     tables: Vec<DemandTable>,
-    /// Flow → demand id of the first hop of its route.
+    /// Hop → demand id, each flow's hops in route order, contiguous.
+    hop_demands: Vec<u32>,
+    /// Flow → position of its first hop in `hop_demands`.
     start: BTreeMap<FlowId, u32>,
 }
 
 impl CompiledDemands {
-    /// The demand id of each flow's first hop, in binding order (see
+    /// The first-hop position of each flow, in binding order (see
     /// [`Self::compile`]).
     fn compile_all(
         &mut self,
@@ -251,9 +253,9 @@ impl CompiledDemands {
             .collect()
     }
 
-    /// The demand id of `binding`'s first hop, compiling the flow first
-    /// unless it is already here (then it must be the same binding on the
-    /// same topology).
+    /// The position of `binding`'s first hop in `hop_demands`, compiling
+    /// the flow first unless it is already here (then it must be the same
+    /// binding on the same topology).
     fn compile(
         &mut self,
         topology: &Topology,
@@ -262,12 +264,23 @@ impl CompiledDemands {
         if let Some(&start) = self.start.get(&binding.id) {
             return Ok(start);
         }
-        let start = crate::index::cx(self.demands.len());
+        let start = crate::index::cx(self.hop_demands.len());
+        let first_demand = self.demands.len();
         for hop in binding.route.hops() {
-            let link = topology.link_between(hop.from, hop.to)?;
-            let demand = LinkDemand::new(&binding.flow, &binding.encapsulation, link.speed);
-            self.tables.push(DemandTable::new(&demand));
-            self.demands.push(demand);
+            let speed = topology.link_between(hop.from, hop.to)?.speed;
+            let compiled = self.demands[first_demand..]
+                .iter()
+                .position(|demand| demand.speed() == speed);
+            let id = match compiled {
+                Some(offset) => first_demand + offset,
+                None => {
+                    let demand = LinkDemand::new(&binding.flow, &binding.encapsulation, speed);
+                    self.tables.push(DemandTable::new(&demand));
+                    self.demands.push(demand);
+                    self.demands.len() - 1
+                }
+            };
+            self.hop_demands.push(crate::index::cx(id));
         }
         self.start.insert(binding.id, start);
         Ok(start)
@@ -275,20 +288,14 @@ impl CompiledDemands {
 }
 
 impl<'a> AnalysisContext<'a> {
-    /// Build the context: pre-compute the demand of every flow on every
-    /// link of its route, intern flows and their `(flow, resource)`
+    /// Build the context: pre-compute the demand of every flow at every
+    /// link speed of its route, intern flows and their `(flow, resource)`
     /// pairs, lay out the jitter arena and build the per-stage
     /// interference tables.
     pub fn new(topology: &'a Topology, flows: &'a FlowSet) -> Result<Self, AnalysisError> {
         let mut compiled = CompiledDemands::default();
-        let demand_start = compiled.compile_all(topology, flows)?;
-        Self::assemble(
-            topology,
-            flows,
-            Cow::Owned(compiled.demands),
-            Cow::Owned(compiled.tables),
-            demand_start,
-        )
+        let hop_start = compiled.compile_all(topology, flows)?;
+        Self::assemble(topology, flows, Cow::Owned(compiled), hop_start)
     }
 
     /// [`Self::new`] over the lane's `compiled` demands: flows compiled
@@ -299,40 +306,37 @@ impl<'a> AnalysisContext<'a> {
         flows: &'a FlowSet,
         compiled: &'a mut CompiledDemands,
     ) -> Result<Self, AnalysisError> {
-        let demand_start = compiled.compile_all(topology, flows)?;
-        let compiled: &'a CompiledDemands = compiled;
-        Self::assemble(
-            topology,
-            flows,
-            Cow::Borrowed(&compiled.demands),
-            Cow::Borrowed(&compiled.tables),
-            demand_start,
-        )
+        let hop_start = compiled.compile_all(topology, flows)?;
+        Self::assemble(topology, flows, Cow::Borrowed(compiled), hop_start)
     }
 
     /// Intern the flows over their compiled demands.
     fn assemble(
         topology: &'a Topology,
         flows: &'a FlowSet,
-        demands: Cow<'a, [LinkDemand]>,
-        tables: Cow<'a, [DemandTable]>,
-        demand_start: Vec<u32>,
+        compiled: Cow<'a, CompiledDemands>,
+        hop_start: Vec<u32>,
     ) -> Result<Self, AnalysisError> {
-        let plan = crate::dense::DensePlan::build(topology, flows, &demands, &demand_start)?;
+        let CompiledDemands {
+            demands,
+            hop_demands,
+            ..
+        } = compiled.as_ref();
+        let plan =
+            crate::dense::DensePlan::build(topology, flows, demands, hop_demands, &hop_start)?;
         Ok(AnalysisContext {
             topology,
             flows,
-            demands,
-            tables,
-            demand_start,
+            compiled,
+            hop_start,
             plan,
         })
     }
 
     /// The demand ids of flow index `index`: one per hop of its route.
-    fn demand_range(&self, index: usize) -> std::ops::Range<usize> {
-        let start = crate::index::ux(self.demand_start[index]);
-        start..start + self.flows.bindings()[index].route.n_hops()
+    fn hop_demands_of(&self, index: usize) -> &[u32] {
+        let start = crate::index::ux(self.hop_start[index]);
+        &self.compiled.hop_demands[start..start + self.flows.bindings()[index].route.n_hops()]
     }
 
     /// The dense plan (interner, arena layout, interference tables).
@@ -343,27 +347,29 @@ impl<'a> AnalysisContext<'a> {
     /// A demand by its dense index (hot-loop form of [`Self::demand`]).
     #[inline]
     pub(crate) fn demand_by_index(&self, index: u32) -> &LinkDemand {
-        &self.demands[crate::index::ux(index)]
+        &self.compiled.demands[crate::index::ux(index)]
     }
 
     /// The interned demand tables, parallel to the demand indices (the
     /// kernels index this slice directly).
     #[inline]
     pub(crate) fn tables(&self) -> &[DemandTable] {
-        &self.tables
+        &self.compiled.tables
     }
 
     /// Aggregate table statistics for the `kernel/*` bench counters:
-    /// `(number of tables, total stored window spans, plan term count)`.
+    /// `(route hops, total stored window spans over the hops' tables,
+    /// plan term count)`.  A table shared by several hops of a route
+    /// counts once per hop.
     pub fn kernel_stats(&self) -> (u64, u64, u64) {
         let count = |n: usize| u64::try_from(n).unwrap_or(u64::MAX);
         let (mut tables, mut windows) = (0, 0);
         for index in 0..self.flows.len() {
-            let range = self.demand_range(index);
-            tables += count(range.len());
-            windows += self.tables[range]
+            let hops = self.hop_demands_of(index);
+            tables += count(hops.len());
+            windows += hops
                 .iter()
-                .map(|t| count(t.n_windows()))
+                .map(|&id| count(self.tables()[crate::index::ux(id)].n_windows()))
                 .sum::<u64>();
         }
         (tables, windows, count(self.plan.terms.len()))
@@ -399,7 +405,7 @@ impl<'a> AnalysisContext<'a> {
                     .route
                     .hops()
                     .position(|hop| hop.from == from && hop.to == to)?;
-                Some(&self.demands[self.demand_range(index).start + hop])
+                Some(self.demand_by_index(self.hop_demands_of(index)[hop]))
             })
             .unwrap_or_else(|| panic!("no cached demand for {flow} on link({},{})", from.0, to.0))
     }
@@ -535,11 +541,67 @@ mod tests {
         assert_eq!(ctx.topology().n_nodes(), t.n_nodes());
     }
 
+    /// A route over 10 Mbit/s, 100 Mbit/s and 1 Gbit/s links, with
+    /// 100 Mbit/s twice: every hop's demand is the flow's demand at the
+    /// hop's link speed, the kernel statistics still count per hop, and
+    /// each flow compiles one demand and table per distinct speed.
+    #[test]
+    fn hops_at_one_speed_share_one_demand_and_table() {
+        use gmf_net::{LinkProfile, Route, SwitchConfig};
+        let mut t = Topology::new();
+        let mut nodes = vec![t.add_end_host("a")];
+        for i in 0..3 {
+            nodes.push(t.add_switch(SwitchConfig::paper(), format!("sw{i}")));
+        }
+        nodes.push(t.add_end_host("b"));
+        let profiles = [
+            LinkProfile::ethernet_10m(),
+            LinkProfile::ethernet_100m(),
+            LinkProfile::ethernet_1g(),
+            LinkProfile::ethernet_100m(),
+        ];
+        for (pair, profile) in nodes.windows(2).zip(profiles) {
+            t.add_duplex_link(pair[0], pair[1], profile).unwrap();
+        }
+        let mut fs = FlowSet::new();
+        let video = paper_figure3_flow("video", Time::from_millis(100.0), Time::from_millis(1.0));
+        fs.add(video, Route::new(&t, nodes.clone()).unwrap(), Priority(5));
+        let voice = cbr_flow(
+            "voice",
+            160,
+            Time::from_millis(20.0),
+            Time::from_millis(20.0),
+            Time::ZERO,
+        );
+        let back: Vec<NodeId> = nodes.iter().rev().copied().collect();
+        fs.add(voice, Route::new(&t, back).unwrap(), Priority(6));
+
+        let ctx = AnalysisContext::new(&t, &fs).unwrap();
+        let (mut hops, mut windows) = (0u64, 0u64);
+        for binding in fs.bindings() {
+            for hop in binding.route.hops() {
+                let speed = t.link_between(hop.from, hop.to).unwrap().speed;
+                let demand = ctx.demand(binding.id, hop.from, hop.to);
+                let expected = LinkDemand::new(&binding.flow, &binding.encapsulation, speed);
+                assert_eq!(*demand, expected);
+                hops += 1;
+                windows += u64::try_from(DemandTable::new(&expected).n_windows()).unwrap();
+            }
+        }
+        let (tables, table_windows, _) = ctx.kernel_stats();
+        assert_eq!((tables, table_windows), (hops, windows));
+        assert_eq!(hops, 8);
+        // Two flows × three distinct speeds.
+        assert_eq!(ctx.compiled.demands.len(), 6);
+        assert_eq!(ctx.tables().len(), 6);
+    }
+
     /// A lane that accepts several candidates in a row: every trial set
     /// is the previous one plus a candidate, built over the demands the
     /// earlier trials compiled.  Each context equals a fresh one — every
     /// flow's demands and tables, the kernel statistics and the analysis
-    /// — and only the candidate is compiled anew.
+    /// — and only the candidate is compiled anew, once per distinct link
+    /// speed of its route.
     #[test]
     fn lane_reused_compiled_demands_equal_a_fresh_context() {
         let (t, net) = paper_figure1();
@@ -550,7 +612,12 @@ mod tests {
         for (i, &(from, to)) in pairs.iter().enumerate() {
             let mut trial = lane.clone();
             let route = shortest_path(&t, net.hosts[from], net.hosts[to]).unwrap();
-            let candidate_hops = route.n_hops();
+            let mut candidate_speeds: Vec<u64> = route
+                .hops()
+                .map(|hop| t.link_between(hop.from, hop.to).unwrap().speed.as_bps() as u64)
+                .collect();
+            candidate_speeds.sort_unstable();
+            candidate_speeds.dedup();
             let flow = if i % 2 == 0 {
                 paper_figure3_flow("video", Time::from_millis(150.0), Time::from_millis(1.0))
             } else {
@@ -568,9 +635,13 @@ mod tests {
             let fresh_report = crate::fixed_point::iterate(&fresh, &config).unwrap().report;
             let reused = AnalysisContext::with_compiled(&t, &trial, &mut compiled).unwrap();
             for index in 0..trial.len() {
-                let (a, b) = (fresh.demand_range(index), reused.demand_range(index));
-                assert_eq!(fresh.demands[a.clone()], reused.demands[b.clone()]);
-                assert_eq!(fresh.tables[a], reused.tables[b]);
+                let hops = fresh.hop_demands_of(index);
+                assert_eq!(hops.len(), reused.hop_demands_of(index).len());
+                for (&a, &b) in hops.iter().zip(reused.hop_demands_of(index)) {
+                    let (a, b) = (crate::index::ux(a), crate::index::ux(b));
+                    assert_eq!(fresh.compiled.demands[a], reused.compiled.demands[b]);
+                    assert_eq!(fresh.tables()[a], reused.tables()[b]);
+                }
             }
             assert_eq!(reused.kernel_stats(), fresh.kernel_stats());
             assert_eq!(
@@ -583,7 +654,10 @@ mod tests {
             // Only the candidate was compiled: every member came from the
             // lane's earlier trials.
             assert_eq!(compiled.start.len(), i + 1);
-            assert_eq!(compiled.demands.len(), compiled_before + candidate_hops);
+            assert_eq!(
+                compiled.demands.len(),
+                compiled_before + candidate_speeds.len()
+            );
             lane = trial;
         }
     }

@@ -22,7 +22,10 @@
 //!   interferer's demand index, jitter pair id and static blocking term,
 //!   plus the precomputed utilization of the stage's overload check.  Stage
 //!   code iterates a cached slice instead of calling `flows_on_link` /
-//!   `hep` and probing demand maps inside fixed-point closures.
+//!   `hep` and probing demand maps inside fixed-point closures.  Demand
+//!   indices come from the context's per-hop demand-id table: a flow has
+//!   one demand per link speed of its route, so hops at the same speed
+//!   share one demand and one table.
 //!
 //! The plan is immutable for the lifetime of its
 //! [`crate::context::AnalysisContext`].  The engine runs on the dense
@@ -204,19 +207,22 @@ pub(crate) struct DensePlan {
 
 impl DensePlan {
     /// Intern `flows` against `topology`: number the pairs, lay out the
-    /// jitter arena and build every flow's interference tables.  `demands`
-    /// holds every flow's demands on the hops of its route, in binding and
-    /// hop order, flow index `i` starting at `demand_start[i]`; stage plans
-    /// reference them by index.
+    /// jitter arena and build every flow's interference tables.
+    /// `hop_demands` holds every flow's demand id on each hop of its
+    /// route, in hop order, flow index `i` starting at `hop_start[i]`;
+    /// stage plans reference `demands` by those ids.
     pub fn build(
         topology: &Topology,
         flows: &FlowSet,
         demands: &[LinkDemand],
-        demand_start: &[u32],
+        hop_demands: &[u32],
+        hop_start: &[u32],
     ) -> Result<DensePlan, AnalysisError> {
         use std::collections::BTreeMap;
 
         let bindings = flows.bindings();
+        // Stage `k` of a walk sits on hop `k / 2` of the route.
+        let stage_demand = |flow: usize, k: usize| hop_demands[ux(hop_start[flow]) + k / 2];
 
         // The resource walk of every flow, in route order.  `walks[i]`
         // aligns with `bindings[i]`.
@@ -245,10 +251,9 @@ impl DensePlan {
             }
         }
         // Every directed link's users in id order (the order of
-        // `FlowSet::flows_on_link`), each resolved to dense indices.  Stage
-        // `k` of a walk sits on hop `k / 2` of the route, and a link stage
-        // is followed by the ingress of the switch it feeds — unless the
-        // link ends the route.
+        // `FlowSet::flows_on_link`), each resolved to dense indices.  A
+        // link stage is followed by the ingress of the switch it feeds —
+        // unless the link ends the route.
         let mut link_users: BTreeMap<(NodeId, NodeId), Vec<LinkUser>> = BTreeMap::new();
         for (flow, walk) in walks.iter().enumerate() {
             for (k, &(resource, from, to)) in walk.iter().enumerate() {
@@ -256,7 +261,7 @@ impl DensePlan {
                     let pair = first_pair[flow] + cx(k);
                     link_users.entry((from, to)).or_default().push(LinkUser {
                         flow,
-                        demand: demand_start[flow] + cx(k / 2),
+                        demand: stage_demand(flow, k),
                         link_pair: pair,
                         ingress_pair: if k + 1 < walk.len() {
                             pair + 1
@@ -387,7 +392,7 @@ impl DensePlan {
                     stage,
                     resource,
                     pair: first_pair[flow] + cx(k),
-                    own_demand: demand_start[flow] + cx(k / 2),
+                    own_demand: stage_demand(flow, k),
                     utilization,
                     all_terms: all_start..all_end,
                     other_terms,
@@ -447,12 +452,9 @@ impl DensePlan {
 /// `(flow, resource-on-its-route, frame)`, plus a per-pair running max
 /// cache backing the `extra_j` reads of the stage analyses.
 ///
-/// **Write discipline:** every construction path writes each slot at most
-/// once with its final value (the single benign exception — the pipeline
-/// re-recording a flow's first-link source jitter over the initial map's
-/// identical value — is exact re-assignment), so the running max never has
-/// to handle a lowered slot.  [`DenseJitters::copy_pair_from`] recomputes
-/// its pair's max from the slice and is safe for arbitrary overwrites.
+/// Every write recomputes the written pairs' maxima from their slices, so
+/// a slot may move either way (the engine folds each round into a reused
+/// arena).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DenseJitters {
     values: Vec<Time>,
@@ -502,10 +504,7 @@ impl DenseJitters {
             for (frame, &value) in values.iter().take(slots).enumerate() {
                 map.values[range.start + frame] = value;
             }
-            map.maxes[ux(pair)] = map.values[range]
-                .iter()
-                .copied()
-                .fold(Time::ZERO, Time::max);
+            map.refresh_max(plan, pair);
         }
         map
     }
@@ -528,40 +527,60 @@ impl DenseJitters {
         }
         self.values[range].copy_from_slice(slots);
         for stage in &plan.flows[flow].stages {
-            self.maxes[ux(stage.pair)] = self.values[plan.range(stage.pair)]
-                .iter()
-                .copied()
-                .fold(Time::ZERO, Time::max);
+            self.refresh_max(plan, stage.pair);
+        }
+    }
+
+    /// Write flow index `flow`'s jitters from its stage `responses`
+    /// (laid out like [`Self::flow_slots`]): frame `k` enters each stage
+    /// with its source jitter plus the responses of the stages before it
+    /// — Figure 6's `JSUM`.
+    pub fn fold_flow(
+        &mut self,
+        plan: &DensePlan,
+        flow: usize,
+        binding: &FlowBinding,
+        responses: &[Time],
+    ) {
+        let flow_plan = &plan.flows[flow];
+        let n_frames = flow_plan.n_frames;
+        let slots = &mut self.values[plan.flow_range(flow)];
+        for (frame, spec) in binding.flow.frames().iter().enumerate() {
+            let mut jsum = spec.jitter;
+            for slot in (frame..slots.len()).step_by(n_frames) {
+                slots[slot] = jsum;
+                jsum += responses[slot];
+            }
+        }
+        for stage in &flow_plan.stages {
+            self.refresh_max(plan, stage.pair);
         }
     }
 
     /// Set flow index `flow`'s source jitters on its first link, as the
     /// paper's initial map does (the warm trial's candidate seed).
     pub fn set_initial_flow(&mut self, plan: &DensePlan, flow: usize, binding: &FlowBinding) {
-        for (frame, spec) in binding.flow.frames().iter().enumerate() {
-            self.set(plan, plan.flows[flow].first_link_pair, frame, spec.jitter);
+        let pair = plan.flows[flow].first_link_pair;
+        let slots = &mut self.values[plan.range(pair)];
+        for (slot, spec) in slots.iter_mut().zip(binding.flow.frames()) {
+            *slot = spec.jitter;
         }
+        self.refresh_max(plan, pair);
+    }
+
+    /// Recompute the running max of `pair` from its slots.
+    fn refresh_max(&mut self, plan: &DensePlan, pair: u32) {
+        self.maxes[ux(pair)] = self.values[plan.range(pair)]
+            .iter()
+            .copied()
+            .fold(Time::ZERO, Time::max);
     }
 
     /// The jitter of `frame` at `pair` (the engine reads whole slices via
-    /// [`Self::slots`]; per-slot reads are a test convenience).
+    /// [`Self::flow_slots`]; per-slot reads are a test convenience).
     #[cfg(test)]
     pub fn get(&self, plan: &DensePlan, pair: u32, frame: usize) -> Time {
         self.values[ux(plan.pair_base[ux(pair)]) + frame]
-    }
-
-    /// Set the jitter of `frame` at `pair` (see the write discipline in
-    /// the type docs).
-    #[inline]
-    pub fn set(&mut self, plan: &DensePlan, pair: u32, frame: usize, value: Time) {
-        let idx = ux(plan.pair_base[ux(pair)]) + frame;
-        debug_assert!(
-            self.values[idx] <= value,
-            "dense jitter slot lowered from {} to {value}",
-            self.values[idx]
-        );
-        self.values[idx] = value;
-        self.maxes[ux(pair)] = self.maxes[ux(pair)].max(value);
     }
 
     /// `extra_j`: the largest jitter of any frame at `pair`
@@ -574,17 +593,6 @@ impl DenseJitters {
         } else {
             self.maxes[ux(pair)]
         }
-    }
-
-    /// Copy one pair's slice (and recompute its max) from `other`.  Used to
-    /// carry frozen flows' jitters through scoped rounds.
-    pub fn copy_pair_from(&mut self, plan: &DensePlan, other: &DenseJitters, pair: u32) {
-        let range = plan.range(pair);
-        self.values[range.clone()].copy_from_slice(&other.values[range.clone()]);
-        self.maxes[ux(pair)] = self.values[range]
-            .iter()
-            .copied()
-            .fold(Time::ZERO, Time::max);
     }
 
     /// `‖self − other‖_∞` — the per-round residual.
@@ -726,7 +734,8 @@ mod tests {
         let all: Vec<u32> = (0..plan.n_pairs() as u32).collect();
         assert!(a.pairs_equal(plan, &b, &all));
         let pair = plan.flows[0].first_link_pair;
-        b.set(plan, pair, 0, Time::from_millis(9.0));
+        b.values[plan.range(pair).start] = Time::from_millis(9.0);
+        b.refresh_max(plan, pair);
         assert!(!a.pairs_equal(plan, &b, &all));
         assert!(!a.pairs_equal(plan, &b, &[pair]));
         // Pairs other than the touched one still compare equal.
@@ -734,9 +743,9 @@ mod tests {
         assert!(a.pairs_equal(plan, &b, &others));
         assert!(a.max_abs_diff(&b) > Time::ZERO);
         assert_ne!(a, b);
-        // Copying the pair back restores exact equality.
+        // Loading the flow back restores exact equality.
         let mut c = b.clone();
-        c.copy_pair_from(plan, &a, pair);
+        c.load_flow(plan, 0, a.flow_slots(plan, 0));
         assert!(a.pairs_equal(plan, &c, &all));
         assert_eq!(c.max_jitter(pair), a.max_jitter(pair));
         assert_eq!(a.max_jitter(NO_PAIR), Time::ZERO);

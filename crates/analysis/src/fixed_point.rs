@@ -41,8 +41,17 @@
 //! parallelism lives one level up, where the units are independent:
 //! admission lanes, shard preloads and sweep points.  A flow whose input
 //! slots are exactly unchanged since its last analysis is not re-analysed
-//! at all (`AnalysisConfig::skip_unchanged_flows`); its cached report is
-//! reused.
+//! at all (`AnalysisConfig::skip_unchanged_flows`); its responses from
+//! that analysis are reused.
+//!
+//! **One response buffer, reports once.**  A round writes each analysed
+//! flow's frame × stage responses into one flat buffer laid out like the
+//! jitter arena; that buffer is also the skip memo.  The fold rebuilds the
+//! next iterate from it (each stage's entering jitter is the source
+//! jitter plus the responses before it), into an arena reused across
+//! rounds.  [`FlowReport`]s are built once, when the run ends: on
+//! convergence, on an unschedulable round (the flows before the failing
+//! one), or from the last round when the budget runs out.
 //!
 //! **Warm starts and incremental re-verification.**  [`iterate_from`]
 //! seeds the iteration with an arbitrary [`JitterMap`] instead of the
@@ -67,7 +76,7 @@ use crate::dense::DenseJitters;
 use crate::error::AnalysisError;
 use crate::kernel::KernelScratch;
 use crate::pipeline::analyze_flow_dense;
-use crate::report::{AnalysisReport, FlowReport};
+use crate::report::{AnalysisReport, FlowReport, FrameBound, HopBound};
 use gmf_model::Time;
 use gmf_net::{FlowSet, Topology};
 use serde::{Deserialize, Serialize};
@@ -109,33 +118,6 @@ impl ConvergenceTrace {
     }
 }
 
-/// Everything one `G` evaluation produces.  Reports are `Arc`-shared:
-/// frozen and round-skipped flows hand the same allocation to every round
-/// instead of deep-copying `R × F` report clones across the run.
-enum RoundOutcome {
-    /// Every flow analysed: the per-flow reports and the next jitter map.
-    Evaluated {
-        reports: Vec<Arc<FlowReport>>,
-        next: DenseJitters,
-    },
-    /// A flow could not be bounded (overload / horizon excess): the reports
-    /// of the flows *before* it in flow order, and why.
-    Unschedulable {
-        partial: Vec<Arc<FlowReport>>,
-        failure: String,
-    },
-}
-
-/// Turn the engine's shared reports into the owned vector an
-/// [`AnalysisReport`] carries — one unwrap (or clone, for reports still
-/// shared with a caller's cache) per flow at the end of the run.
-fn unwrap_reports(reports: Vec<Arc<FlowReport>>) -> Vec<FlowReport> {
-    reports
-        .into_iter()
-        .map(|report| Arc::try_unwrap(report).unwrap_or_else(|shared| (*shared).clone()))
-        .collect()
-}
-
 /// A dependency-derived re-verification scope for an incremental
 /// (warm-started) run: only active flows are re-analysed each round;
 /// every frozen flow's converged [`FlowReport`] is carried verbatim and
@@ -149,155 +131,138 @@ fn unwrap_reports(reports: Vec<Arc<FlowReport>>) -> Vec<FlowReport> {
 /// `DependencyScope::is_acyclic`); the engine trusts the scope.
 pub(crate) struct Scope<'s> {
     /// Per flow index of the context: the converged report of a frozen
-    /// flow, shared into every round's report vector, or `None` for a
-    /// flow to re-analyse every round (the candidate, everything
-    /// reachable from it in the dependency graph, and any flow whose
-    /// cached report an earlier departure invalidated).
+    /// flow, shared with the caller's cache and copied into the run's
+    /// report once at the end, or `None` for a flow to re-analyse every
+    /// round (the candidate, everything reachable from it in the
+    /// dependency graph, and any flow whose cached report an earlier
+    /// departure invalidated).
     pub frozen: &'s [Option<Arc<FlowReport>>],
 }
 
-/// What the engine remembers about one flow's last analysis: its report
-/// and its per-stage jitter assignments, both reusable verbatim while the
-/// flow's inputs (see [`crate::dense::FlowPlan::input_pairs`]) are
-/// unchanged.
-struct FlowCache {
-    report: Arc<FlowReport>,
-    /// Frame-major, stage-minor accumulated jitters (the dense form of
-    /// the keyed `JitterAssignments` of the `gmf_bench::oracle` walk).
-    assignments: Vec<Vec<Time>>,
+/// What one run carries from round to round, allocated once per run.
+struct RoundState {
+    /// Flow index → `true` while its slice of `responses` holds a
+    /// successful analysis whose inputs were the last round's iterate.
+    cached: Vec<bool>,
+    /// Every active flow's stage responses, laid out like the jitter
+    /// arena: flow index `i` owns [`crate::dense::DensePlan::flow_range`]
+    /// of it, stage-major.  A skipped flow's slice is its memo; the
+    /// reports are built from this buffer once, when the run ends.
+    responses: Vec<Time>,
+    scratch: KernelScratch,
+    /// Per-flow pipeline analyses performed so far.
+    flow_analyses: usize,
 }
 
-/// How [`evaluate_round`] treats each flow of the context.
-#[derive(Clone, Copy)]
-enum FlowRole {
-    /// Outside the scope: frozen report, jitters copied through.
-    Inactive,
-    /// In scope, but its input slots are exactly unchanged since its last
-    /// analysis: the cached report and assignments are reused without
-    /// re-analysing (Jacobi memoization — correct by construction).
-    Skipped,
-    /// In scope with changed inputs (or no cached analysis): re-analysed.
-    Dirty,
-}
-
-/// Evaluate `G` at `jitters`: analyse every *dirty* flow of the context's
-/// flow set against the given arena, in flow-index order, and fold the
-/// assignments (fresh or cached) into the next round's arena.  Returns the
-/// outcome and the number of per-flow analyses actually performed.
+/// Evaluate `G` at `jitters` into `next`, in flow-index order: a frozen
+/// flow (outside the scope) has its jitters copied through, a flow whose
+/// input slots exactly equal those of its cached analysis keeps its
+/// responses, and every other flow is re-analysed; then each active flow
+/// folds its responses into `next`.
 ///
-/// The first erroring flow in flow order decides the outcome, and the scan
-/// stops there without analysing the rest of the round (rejecting
-/// admission trials hit this every call).  Skipping is invisible: a
-/// skipped flow's inputs are *exactly* equal to those of its cached
-/// analysis, so re-analysing it would reproduce the cached report and
-/// assignments bit for bit — and a skipped flow can never be the round's
-/// first error, because its cached analysis succeeded on the same inputs.
+/// Returns the index of the first flow that could not be bounded
+/// (overload / horizon excess) and why, and stops the round there
+/// (rejecting admission trials hit this every call).  Skipping is
+/// invisible: re-analysing a skipped flow would reproduce its responses
+/// bit for bit, and it can never be the round's first error, because its
+/// cached analysis succeeded on the same inputs (Jacobi memoization).
 fn evaluate_round(
     ctx: &AnalysisContext<'_>,
     jitters: &DenseJitters,
     config: &AnalysisConfig,
     scope: Option<&Scope<'_>>,
-    cache: &mut [Option<FlowCache>],
+    state: &mut RoundState,
     last_input: Option<&DenseJitters>,
-    scratch: &mut KernelScratch,
-) -> Result<(RoundOutcome, usize), AnalysisError> {
+    next: &mut DenseJitters,
+) -> Result<Option<(usize, String)>, AnalysisError> {
+    let plan = ctx.plan();
+    for (index, binding) in ctx.flows().bindings().iter().enumerate() {
+        if scope.is_some_and(|s| s.frozen[index].is_some()) {
+            // Frozen jitters are already at their fixed-point values.
+            next.load_flow(plan, index, jitters.flow_slots(plan, index));
+            continue;
+        }
+        let range = plan.flow_range(index);
+        let skip = config.skip_unchanged_flows
+            && state.cached[index]
+            && last_input.is_some_and(|previous| {
+                jitters.pairs_equal(plan, previous, &plan.flows[index].input_pairs)
+            });
+        if !skip {
+            state.flow_analyses += 1;
+            let responses = &mut state.responses[range.clone()];
+            match analyze_flow_dense(ctx, jitters, config, index, &mut state.scratch, responses) {
+                Ok(()) => state.cached[index] = true,
+                Err(err) if err.is_unschedulable() => {
+                    state.cached[index] = false;
+                    return Ok(Some((index, err.to_string())));
+                }
+                Err(err) => return Err(err),
+            }
+        }
+        next.fold_flow(plan, index, binding, &state.responses[range]);
+    }
+    Ok(None)
+}
+
+/// The reports of the first `end` flows in flow order: a frozen flow's
+/// is copied out of the scope, every other flow's is built from its
+/// responses — the only place the engine builds a [`FlowReport`].
+fn reports(
+    ctx: &AnalysisContext<'_>,
+    scope: Option<&Scope<'_>>,
+    responses: &[Time],
+    end: usize,
+) -> Vec<FlowReport> {
     let plan = ctx.plan();
     let bindings = ctx.flows().bindings();
-
-    let roles: Vec<FlowRole> = (0..bindings.len())
+    (0..end)
         .map(|index| {
-            if scope.is_some_and(|s| s.frozen[index].is_some()) {
-                FlowRole::Inactive
-            } else if config.skip_unchanged_flows
-                && cache[index].is_some()
-                && last_input.is_some_and(|previous| {
-                    jitters.pairs_equal(plan, previous, &plan.flows[index].input_pairs)
+            if let Some(frozen) = scope.and_then(|s| s.frozen[index].as_ref()) {
+                return FlowReport::clone(frozen);
+            }
+            let flow_plan = &plan.flows[index];
+            let binding = &bindings[index];
+            let n_frames = flow_plan.n_frames;
+            let responses = &responses[plan.flow_range(index)];
+            let frames = binding
+                .flow
+                .frames()
+                .iter()
+                .enumerate()
+                .map(|(frame, spec)| {
+                    let hops: Vec<HopBound> = flow_plan
+                        .stages
+                        .iter()
+                        .enumerate()
+                        .map(|(stage, plan)| HopBound {
+                            resource: plan.resource,
+                            stage: plan.stage,
+                            response: responses[stage * n_frames + frame],
+                        })
+                        .collect();
+                    // Figure 6: RSUM starts at the source jitter and adds
+                    // every stage's response in walk order.
+                    let bound = hops
+                        .iter()
+                        .fold(spec.jitter, |rsum, hop| rsum + hop.response);
+                    FrameBound {
+                        flow: flow_plan.id,
+                        frame,
+                        source_jitter: spec.jitter,
+                        bound,
+                        deadline: spec.deadline,
+                        hops,
+                    }
                 })
-            {
-                FlowRole::Skipped
-            } else {
-                FlowRole::Dirty
+                .collect();
+            FlowReport {
+                flow: binding.id,
+                name: binding.flow.name().to_string(),
+                frames,
             }
         })
-        .collect();
-
-    let mut analyzed = 0usize;
-    let mut reports: Vec<Arc<FlowReport>> = Vec::with_capacity(bindings.len());
-    for (index, binding) in bindings.iter().enumerate() {
-        match roles[index] {
-            FlowRole::Inactive => {
-                let frozen = scope
-                    .and_then(|s| s.frozen[index].as_ref())
-                    // tidy-allow: unwrap invariant: inactive flows are exactly the frozen ones of a scope
-                    .expect("inactive flows are exactly the frozen ones of a scope");
-                reports.push(Arc::clone(frozen));
-            }
-            FlowRole::Skipped => {
-                let cached = cache[index]
-                    .as_ref()
-                    // tidy-allow: unwrap invariant: skipped flows have a cached analysis
-                    .expect("skipped flows have a cached analysis");
-                reports.push(Arc::clone(&cached.report));
-            }
-            FlowRole::Dirty => {
-                analyzed += 1;
-                match analyze_flow_dense(ctx, jitters, config, index, scratch) {
-                    Ok((bounds, assignments)) => {
-                        let report = Arc::new(FlowReport {
-                            flow: binding.id,
-                            name: binding.flow.name().to_string(),
-                            frames: bounds,
-                        });
-                        reports.push(Arc::clone(&report));
-                        cache[index] = Some(FlowCache {
-                            report,
-                            assignments,
-                        });
-                    }
-                    Err(err) if err.is_unschedulable() => {
-                        return Ok((
-                            RoundOutcome::Unschedulable {
-                                partial: reports,
-                                failure: err.to_string(),
-                            },
-                            analyzed,
-                        ));
-                    }
-                    Err(err) => return Err(err),
-                }
-            }
-        }
-    }
-
-    let mut next = DenseJitters::initial(plan, ctx.flows());
-    for (index, role) in roles.iter().enumerate() {
-        let flow_plan = &plan.flows[index];
-        match role {
-            // Frozen flows' jitters are already at their fixed-point
-            // values; carry them through unchanged so the fold below only
-            // moves the active components.
-            FlowRole::Inactive => {
-                for stage in &flow_plan.stages {
-                    next.copy_pair_from(plan, jitters, stage.pair);
-                }
-            }
-            // Active flows (fresh or skipped) fold their assignments —
-            // a skipped flow's cached assignments are exactly what
-            // re-analysing it would have produced.
-            FlowRole::Skipped | FlowRole::Dirty => {
-                let cached = cache[index]
-                    .as_ref()
-                    // tidy-allow: unwrap invariant: active flows have a cached analysis after the scan
-                    .expect("active flows have a cached analysis after the scan");
-                for (frame, frame_assignments) in cached.assignments.iter().enumerate() {
-                    for (stage, &jitter) in frame_assignments.iter().enumerate() {
-                        next.set(plan, flow_plan.stages[stage].pair, frame, jitter);
-                    }
-                }
-            }
-        }
-    }
-    Ok((RoundOutcome::Evaluated { reports, next }, analyzed))
+        .collect()
 }
 
 /// What one public holistic fixed-point run produces: the report and the
@@ -413,87 +378,79 @@ pub(crate) fn run(
     scope: Option<&Scope<'_>>,
 ) -> Result<DenseRun, AnalysisError> {
     let plan = ctx.plan();
-    let mut flow_analyses = 0usize;
-    let mut last_reports: Vec<Arc<FlowReport>> = Vec::new();
+    let n_flows = plan.flows.len();
     let mut trace = ConvergenceTrace::default();
-    // Per-flow memo backing the dirty-flow round skipping: each flow's last
-    // analysis, valid while its input slots match `last_input` (the arena
-    // the memo entries were computed against).
-    let mut cache: Vec<Option<FlowCache>> = (0..plan.flows.len()).map(|_| None).collect();
+    let mut state = RoundState {
+        cached: vec![false; n_flows],
+        responses: vec![Time::ZERO; plan.arena_len],
+        scratch: KernelScratch::default(),
+        flow_analyses: 0,
+    };
+    // The fold overwrites every slot, so any arena of the plan's shape
+    // serves as the fold target.  With skipping on, the arena a round read
+    // is kept as `last_input` (what the skip test compares against) and
+    // the one it replaces becomes the next fold target: three arenas per
+    // run, none per round.
+    let mut next = DenseJitters::zeroed(plan);
     let mut last_input: Option<DenseJitters> = None;
-    let mut scratch = KernelScratch::default();
 
     for iteration in 1..=config.max_holistic_iterations {
-        let (outcome, analyzed) = evaluate_round(
+        let aborted = evaluate_round(
             ctx,
             &x,
             config,
             scope,
-            &mut cache,
+            &mut state,
             last_input.as_ref(),
-            &mut scratch,
+            &mut next,
         )?;
-        flow_analyses += analyzed;
-        // After a completed round every cache entry is valid against the
-        // arena it just read: refreshed entries were computed at `x`, kept
-        // entries had inputs exactly equal to their own reference arena.
-        // (When skipping is off the memo is never consulted — skip the
-        // per-round arena clone.)
-        if config.skip_unchanged_flows {
-            last_input = Some(x.clone());
+        if let Some((failed, failure)) = aborted {
+            // The aborted round still counts as an iteration, so it also
+            // gets a trace entry (`trace.len() == iterations` always
+            // holds); no next map was folded, hence no residual.
+            trace.rounds.push(RoundTrace {
+                iteration,
+                residual: Time::ZERO,
+            });
+            return Ok(DenseRun {
+                report: AnalysisReport {
+                    flows: reports(ctx, scope, &state.responses, failed),
+                    converged: false,
+                    iterations: iteration,
+                    schedulable: false,
+                    failure: Some(failure),
+                    trace,
+                },
+                jitters: None,
+                flow_analyses: state.flow_analyses,
+            });
         }
-
-        let (reports, gx) = match outcome {
-            RoundOutcome::Evaluated { reports, next } => (reports, next),
-            RoundOutcome::Unschedulable { partial, failure } => {
-                // The aborted round still counts as an iteration, so it
-                // also gets a trace entry (`trace.len() == iterations`
-                // always holds); no next map was folded, hence no residual.
-                trace.rounds.push(RoundTrace {
-                    iteration,
-                    residual: Time::ZERO,
-                });
-                drop(cache);
-                return Ok(DenseRun {
-                    report: AnalysisReport {
-                        flows: unwrap_reports(partial),
-                        converged: false,
-                        iterations: iteration,
-                        schedulable: false,
-                        failure: Some(failure),
-                        trace,
-                    },
-                    jitters: None,
-                    flow_analyses,
-                });
-            }
-        };
-        let residual = gx.max_abs_diff(&x);
+        let residual = next.max_abs_diff(&x);
         trace.rounds.push(RoundTrace {
             iteration,
             residual,
         });
 
         if residual.is_zero() {
-            let schedulable = reports.iter().all(|r| r.meets_all_deadlines());
+            let flows = reports(ctx, scope, &state.responses, n_flows);
+            let schedulable = flows.iter().all(|r| r.meets_all_deadlines());
             let failure = if schedulable {
                 None
             } else {
-                let miss = reports
+                let miss = flows
                     .iter()
                     .filter(|r| !r.meets_all_deadlines())
-                    .map(|r| r.name.clone())
+                    .map(|r| r.name.as_str())
                     .collect::<Vec<_>>()
                     .join(", ");
                 Some(format!("deadline missed by: {miss}"))
             };
             // The reports are exactly the evaluation `G(x)`, so `x` (not
-            // `gx`) is the map to cache: re-evaluating `G` at it
+            // `next`) is the map to cache: re-evaluating `G` at it
             // reproduces them byte for byte.
-            drop(cache);
             return Ok(DenseRun {
                 report: AnalysisReport {
-                    flows: unwrap_reports(reports),
+                    flows,
                     converged: true,
                     iterations: iteration,
                     schedulable,
@@ -501,19 +458,30 @@ pub(crate) fn run(
                     trace,
                 },
                 jitters: Some(x),
-                flow_analyses,
+                flow_analyses: state.flow_analyses,
             });
         }
 
-        last_reports = reports;
-        x = gx;
+        // After a completed round every cached response is valid against
+        // the arena it just read: refreshed ones were computed at `x`,
+        // kept ones had inputs exactly equal to their own reference arena.
+        std::mem::swap(&mut x, &mut next);
+        if config.skip_unchanged_flows {
+            let previous = last_input.get_or_insert_with(|| DenseJitters::zeroed(plan));
+            std::mem::swap(previous, &mut next);
+        }
     }
 
-    // The jitter iteration did not stabilise within the budget.
-    drop(cache);
+    // The jitter iteration did not stabilise within the budget: report
+    // the last round's evaluation.
+    let flows = if trace.is_empty() {
+        Vec::new()
+    } else {
+        reports(ctx, scope, &state.responses, n_flows)
+    };
     Ok(DenseRun {
         report: AnalysisReport {
-            flows: unwrap_reports(last_reports),
+            flows,
             converged: false,
             iterations: config.max_holistic_iterations,
             schedulable: false,
@@ -526,7 +494,7 @@ pub(crate) fn run(
             trace,
         },
         jitters: None,
-        flow_analyses,
+        flow_analyses: state.flow_analyses,
     })
 }
 

@@ -41,15 +41,15 @@ pub(crate) struct Term {
 }
 
 /// Reusable scratch arena for the per-frame kernels: resolved interference
-/// terms and the `w(q)` instance tables of every stage of the flow under
-/// analysis.
+/// terms, the `w(q)` instance tables and the stage states of the flow
+/// under analysis.
 ///
 /// One arena lives for the whole fixed-point run (every round, every
 /// flow), is [`reset`](KernelScratch::reset) at the start of every flow,
 /// and only ever grows to the high-water mark of a single flow's stages —
 /// after warm-up the per-frame path allocates nothing.  Stage states address it through plain `Range<usize>` handles,
 /// which keeps the stages `Vec`-free and the borrows disjoint.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub(crate) struct KernelScratch {
     /// Resolved interference terms, addressed by stage-held ranges.
     pub(crate) terms: Vec<Term>,
@@ -59,6 +59,8 @@ pub(crate) struct KernelScratch {
     /// The first-hop stage's lazily extended `w(q)` memo (one first-hop
     /// stage per flow, so one memo suffices).
     pub(crate) first_hop_w: Vec<Time>,
+    /// The stage states of the flow under analysis, in walk order.
+    pub(crate) stages: Vec<crate::pipeline::StageState>,
 }
 
 impl KernelScratch {
@@ -68,6 +70,7 @@ impl KernelScratch {
         self.terms.clear();
         self.w.clear();
         self.first_hop_w.clear();
+        self.stages.clear();
     }
 
     /// Resolve `specs` against the round's jitter iterate into the term

@@ -17,8 +17,11 @@
 //! R_i^k := RSUM
 //! ```
 //!
-//! The jitter assignments made on the way are returned so the holistic
-//! iteration ([`crate::fixed_point`]) can feed them into the next round.
+//! The walk writes each stage's response `R` into the engine's response
+//! buffer; the holistic iteration ([`crate::fixed_point`]) rebuilds the
+//! jitter each stage assigns (`GJ` entering the stage = source jitter plus
+//! the responses before it) and the frame's bound (`RSUM`) from them, so
+//! the walk itself allocates nothing.
 //!
 //! One extension over Figure 6: a route with no intermediate switch (source
 //! directly cabled to the destination) still gets its first hop analysed;
@@ -27,12 +30,13 @@
 use crate::config::AnalysisConfig;
 use crate::context::AnalysisContext;
 use crate::error::AnalysisError;
-use crate::report::{FrameBound, HopBound};
+use crate::kernel::KernelScratch;
 use gmf_model::Time;
 
 /// A per-stage dense analysis state (see the stage modules): built lazily
-/// during frame 0's walk, reused by every later frame of the cycle.
-enum StageState {
+/// during frame 0's walk, reused by every later frame of the cycle.  The
+/// states of the flow under analysis live in [`KernelScratch::stages`].
+pub(crate) enum StageState {
     First(crate::first_hop::FirstHopDense),
     Ingress(crate::ingress::IngressDense),
     Egress(crate::egress::EgressDense),
@@ -42,9 +46,10 @@ enum StageState {
 /// against the dense iterate — the engine's form of the keyed
 /// `gmf_bench::oracle::analyze_flow`.
 ///
-/// The returned assignments are frame-major and stage-minor: the jitter
-/// the frame has accumulated *entering* each stage of the plan's walk, for
-/// the fixed-point engine to fold into the next round's arena.
+/// `responses` receives the flow's per-stage responses, stage-major like
+/// the flow's jitter slots ([`crate::dense::DensePlan::flow_range`]):
+/// `responses[stage * n_frames + frame]`.  On an error its contents are
+/// unspecified.
 ///
 /// Byte-identity with the keyed walk: stage states are constructed
 /// *lazily, in frame 0's walk order*, so any error a stage's
@@ -57,32 +62,43 @@ pub(crate) fn analyze_flow_dense(
     jitters: &crate::dense::DenseJitters,
     config: &AnalysisConfig,
     flow_index: usize,
-    scratch: &mut crate::kernel::KernelScratch,
-) -> Result<(Vec<FrameBound>, Vec<Vec<Time>>), AnalysisError> {
+    scratch: &mut KernelScratch,
+    responses: &mut [Time],
+) -> Result<(), AnalysisError> {
+    scratch.reset();
+    // The states hold ranges into the scratch arena, so they move out of
+    // it for the walk and back in afterwards, keeping their capacity.
+    let mut states = std::mem::take(&mut scratch.stages);
+    let result = walk(
+        ctx,
+        jitters,
+        config,
+        flow_index,
+        scratch,
+        &mut states,
+        responses,
+    );
+    scratch.stages = states;
+    result
+}
+
+/// The walk of [`analyze_flow_dense`], frame by frame, each frame through
+/// every stage, over the moved-out stage `states`.
+fn walk(
+    ctx: &AnalysisContext<'_>,
+    jitters: &crate::dense::DenseJitters,
+    config: &AnalysisConfig,
+    flow_index: usize,
+    scratch: &mut KernelScratch,
+    states: &mut Vec<StageState>,
+    responses: &mut [Time],
+) -> Result<(), AnalysisError> {
     let plan = ctx.plan();
     let flow_plan = &plan.flows[flow_index];
-    let binding = &ctx.flows().bindings()[flow_index];
     let flow = flow_plan.id;
-    scratch.reset();
-
-    let mut states: Vec<StageState> = Vec::with_capacity(flow_plan.stages.len());
-    let mut bounds = Vec::with_capacity(flow_plan.n_frames);
-    let mut assignments = Vec::with_capacity(flow_plan.n_frames);
-    for frame in 0..flow_plan.n_frames {
-        let spec = binding
-            .flow
-            .frame(frame)
-            .map_err(|e| AnalysisError::Net(gmf_net::NetError::Model(e.to_string())))?;
-        let source_jitter = spec.jitter;
-
-        // Figure 6, line 3.
-        let mut rsum = source_jitter;
-        let mut jsum = source_jitter;
-        let mut hops = Vec::with_capacity(flow_plan.stages.len());
-        let mut frame_assignments = Vec::with_capacity(flow_plan.stages.len());
-
+    let n_frames = flow_plan.n_frames;
+    for frame in 0..n_frames {
         for (index, stage) in flow_plan.stages.iter().enumerate() {
-            frame_assignments.push(jsum);
             if states.len() == index {
                 states.push(match stage.stage {
                     crate::error::StageKind::FirstHop => {
@@ -102,29 +118,12 @@ pub(crate) fn analyze_flow_dense(
                     }
                 });
             }
-            let response = match &mut states[index] {
+            responses[index * n_frames + frame] = match &mut states[index] {
                 StageState::First(state) => state.response(ctx, frame, scratch)?,
                 StageState::Ingress(state) => state.response(ctx, frame, scratch),
                 StageState::Egress(state) => state.response(ctx, frame, scratch)?,
             };
-            hops.push(HopBound {
-                resource: stage.resource,
-                stage: stage.stage,
-                response,
-            });
-            rsum += response;
-            jsum += response;
         }
-
-        bounds.push(FrameBound {
-            flow,
-            frame,
-            source_jitter,
-            bound: rsum,
-            deadline: spec.deadline,
-            hops,
-        });
-        assignments.push(frame_assignments);
     }
-    Ok((bounds, assignments))
+    Ok(())
 }

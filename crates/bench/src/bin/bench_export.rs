@@ -25,9 +25,10 @@
 //! **Baseline check** (`--baseline <path>`): compares the fresh run
 //! against a committed baseline and exits non-zero on regression.
 //! Counters must match exactly.  Timings are compared *normalised by the
-//! `link_demand_build_paper_flow` entry* — a pure-CPU yardstick that
-//! cancels overall machine speed out of the ratio — and fail when a
-//! normalised timing exceeds the baseline by more than
+//! `mx_multi_cycle_window` entry* — an allocation-free, pure-CPU
+//! yardstick (the closed-form eq. 11, whose cost no engine optimisation
+//! touches) that cancels overall machine speed out of the ratio — and fail
+//! when a normalised timing exceeds the baseline by more than
 //! `GMF_BENCH_TOLERANCE` (default 1.5; generous, for runner noise).
 //!
 //! Usage: `bench_export [OUTPUT_PATH] [--baseline PATH]` (default output
@@ -50,7 +51,7 @@ use std::hint::black_box;
 use switch_sim::{SimConfig, Simulator};
 
 /// The calibration timing used to normalise cross-machine comparisons.
-const CALIBRATION: &str = "link_demand_build_paper_flow";
+const CALIBRATION: &str = "mx_multi_cycle_window";
 
 /// The `BENCH.json` schema (see module docs).
 #[derive(Debug, Serialize, Deserialize)]

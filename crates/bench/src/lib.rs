@@ -686,8 +686,12 @@ mod tests {
 
     #[test]
     fn median_ns_measures_something() {
+        // An opaque bound and opaque terms keep the sum from folding to a
+        // constant, so one call costs well over the nanosecond
+        // `median_ns` truncates to.
+        use std::hint::black_box;
         let ns = median_ns(3, || {
-            std::hint::black_box((0..100u64).sum::<u64>());
+            black_box((0..black_box(1_000u64)).map(black_box).sum::<u64>());
         });
         assert!(ns > 0);
     }

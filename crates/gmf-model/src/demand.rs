@@ -17,12 +17,10 @@
 //! | `NXS` (eq. 12) / `NX` (eq. 13) | [`LinkDemand::nxs`] / [`LinkDemand::nx`] | upper bound on Ethernet frames received from the flow in a window |
 //! | `MFT` (eq. 1) | [`LinkDemand::mft`] | maximum-frame-transmission time of the link |
 //!
-//! A [`LinkDemand`] is therefore "flow × link" — the analysis builds one for
-//! every (flow, link) pair along every route.
+//! A [`LinkDemand`] depends on a link only through its speed — the analysis
+//! builds one for every (flow, link speed) pair along every route.
 
-use crate::encapsulation::{
-    max_frame_transmission_time, packetize, EncapsulationConfig, Packetization,
-};
+use crate::encapsulation::{max_frame_transmission_time, wire_totals, EncapsulationConfig};
 use crate::flow::GmfFlow;
 use crate::units::{BitRate, Time};
 use serde::{Deserialize, Serialize};
@@ -30,17 +28,13 @@ use serde::{Deserialize, Serialize};
 /// The per-link request-bound description of one GMF flow.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinkDemand {
-    /// Transmission time `C_i^k` of every frame of the cycle on this link.
-    c: Vec<Time>,
-    /// Number of Ethernet frames of every frame of the cycle.
-    n_eth: Vec<u64>,
-    /// Minimum inter-arrival times `T_i^k` (copied from the flow).
-    t: Vec<Time>,
-    /// `CSUM`: sum of `c`.
+    /// Every frame of the cycle on this link, in cycle order.
+    frames: Vec<FrameDemand>,
+    /// `CSUM`: sum of the frames' `c`.
     csum: Time,
-    /// `NSUM`: sum of `n_eth`.
+    /// `NSUM`: sum of the frames' `n_eth`.
     nsum: u64,
-    /// `TSUM`: sum of `t`.
+    /// `TSUM`: sum of the frames' `t`.
     tsum: Time,
     /// `MFT` of the link.
     mft: Time,
@@ -48,63 +42,83 @@ pub struct LinkDemand {
     speed: BitRate,
 }
 
+/// One frame of the cycle on the link.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+struct FrameDemand {
+    /// Transmission time `C_i^k` on this link.
+    c: Time,
+    /// Number of Ethernet frames.
+    n_eth: u64,
+    /// Minimum inter-arrival time `T_i^k` (copied from the flow).
+    t: Time,
+}
+
 impl LinkDemand {
     /// Build the per-link demand of `flow` on a link of speed `speed` under
     /// the given packetization configuration.
+    ///
+    /// Only each frame's Ethernet-frame count and wire bits matter here,
+    /// so they come from [`wire_totals`] rather than a full
+    /// [`crate::packetize`] listing.
     pub fn new(flow: &GmfFlow, config: &EncapsulationConfig, speed: BitRate) -> Self {
-        let mut c = Vec::with_capacity(flow.n_frames());
-        let mut n_eth = Vec::with_capacity(flow.n_frames());
-        let mut t = Vec::with_capacity(flow.n_frames());
-        for frame in flow.frames() {
-            let p: Packetization = packetize(frame.payload, config);
-            c.push(p.transmission_time(speed));
-            n_eth.push(p.n_ethernet_frames);
-            t.push(frame.min_interarrival);
-        }
-        let csum = c.iter().copied().sum();
-        let nsum = n_eth.iter().sum();
-        let tsum = t.iter().copied().sum();
-        let mft = max_frame_transmission_time(speed);
+        let frames: Vec<FrameDemand> = flow
+            .frames()
+            .iter()
+            .map(|frame| {
+                let (n_eth, wire) = wire_totals(frame.payload, config);
+                FrameDemand {
+                    c: speed.transmission_time(wire),
+                    n_eth,
+                    t: frame.min_interarrival,
+                }
+            })
+            .collect();
+        let csum = frames.iter().map(|f| f.c).sum();
+        let nsum = frames.iter().map(|f| f.n_eth).sum();
+        let tsum = frames.iter().map(|f| f.t).sum();
         LinkDemand {
-            c,
-            n_eth,
-            t,
+            frames,
             csum,
             nsum,
             tsum,
-            mft,
+            mft: max_frame_transmission_time(speed),
             speed,
         }
     }
 
     /// Number of frames in the GMF cycle.
     pub fn n_frames(&self) -> usize {
-        self.c.len()
+        self.frames.len()
+    }
+
+    /// Frame `k` of the cycle (cyclic).
+    fn frame(&self, k: usize) -> &FrameDemand {
+        &self.frames[k % self.frames.len()]
     }
 
     /// `C_i^k`: transmission time of frame `k` on this link.
     pub fn c(&self, k: usize) -> Time {
-        self.c[k % self.c.len()]
+        self.frame(k).c
     }
 
     /// Number of Ethernet frames of frame `k`.
     pub fn n_ethernet_frames(&self, k: usize) -> u64 {
-        self.n_eth[k % self.n_eth.len()]
+        self.frame(k).n_eth
     }
 
     /// Minimum inter-arrival time `T_i^k`.
     pub fn t(&self, k: usize) -> Time {
-        self.t[k % self.t.len()]
+        self.frame(k).t
     }
 
     /// The largest per-frame transmission time of the cycle.
     pub fn max_c(&self) -> Time {
-        self.c.iter().copied().fold(Time::ZERO, Time::max)
+        self.frames.iter().map(|f| f.c).fold(Time::ZERO, Time::max)
     }
 
     /// The largest per-frame Ethernet-frame count of the cycle.
     pub fn max_n_ethernet_frames(&self) -> u64 {
-        self.n_eth.iter().copied().max().unwrap_or(0)
+        self.frames.iter().map(|f| f.n_eth).max().unwrap_or(0)
     }
 
     /// `CSUM` (eq. 4).

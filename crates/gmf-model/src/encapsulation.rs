@@ -210,6 +210,26 @@ pub fn packetize(payload: Bits, config: &EncapsulationConfig) -> Packetization {
     }
 }
 
+/// The Ethernet-frame count and total wire bits of one datagram — the two
+/// totals of [`packetize`] the analysis needs — computed arithmetically,
+/// without listing the frames: `packetize(payload, config)` has
+/// `n_ethernet_frames` and `total_wire_bits` equal to this pair.
+pub fn wire_totals(payload: Bits, config: &EncapsulationConfig) -> (u64, Bits) {
+    let nbits = datagram_bits(payload, config.encapsulation).as_bits();
+    let full_frames = nbits / DATA_BITS_PER_FULL_FRAME;
+    let remainder = nbits % DATA_BITS_PER_FULL_FRAME;
+    let mut wire = full_frames * WIRE_BITS_PER_FULL_FRAME;
+    if remainder == 0 {
+        return (full_frames, Bits::from_bits(wire));
+    }
+    let mut last = remainder + WIRE_OVERHEAD_PER_FRAGMENT;
+    if config.enforce_min_frame && last < WIRE_BITS_MIN_FRAME {
+        last = WIRE_BITS_MIN_FRAME;
+    }
+    wire += last;
+    (full_frames + 1, Bits::from_bits(wire))
+}
+
 /// `MFT_link` (eq. 1): the Maximum-Frame-Transmission-Time of a link — the
 /// time needed to serialise one maximum-size Ethernet frame (12304 bits) at
 /// the link speed.

@@ -51,7 +51,7 @@ pub use arrival::{dense_trace, dense_trace_with_offsets, ArrivalTrace, PacketArr
 pub use demand::LinkDemand;
 pub use encapsulation::{
     datagram_bits, max_frame_transmission_time, n_ethernet_frames, packetize, transmission_time,
-    Encapsulation, EncapsulationConfig, Packetization,
+    wire_totals, Encapsulation, EncapsulationConfig, Packetization,
 };
 pub use error::ModelError;
 pub use flow::{FlowId, GmfFlow};

@@ -33,8 +33,9 @@ use serde::{Deserialize, Serialize};
 /// Flat prefix-maximum table answering `mxs`/`nxs`/`mx`/`nx` queries for
 /// one [`LinkDemand`] in `O(log n²)` instead of `O(n³)`.
 ///
-/// Built once per (flow, link) pair and shared via the analysis context's
-/// demand interner; the per-frame kernels only ever touch this table.
+/// Built once per (flow, link speed) pair and shared via the analysis
+/// context's demand interner; the per-frame kernels only ever touch this
+/// table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DemandTable {
     /// Collapsed windows sorted ascending by span — one contiguous block
@@ -66,8 +67,9 @@ struct WindowRow {
 impl DemandTable {
     /// Compile `demand`'s request bounds into a flat table.
     ///
-    /// Enumerates all `n²` cyclic windows, sorts them by span, and
-    /// collapses equal spans into one entry carrying the running maxima.
+    /// Enumerates all `n²` cyclic windows straight into the table's one
+    /// allocation, sorts them by span, then turns each row into the
+    /// running maxima and collapses equal spans in place.
     ///
     /// The enumeration extends each window by one frame at a time, so a
     /// whole start row costs `O(n)` instead of the `O(n²)` of calling
@@ -77,51 +79,50 @@ impl DemandTable {
     /// stored value equals the accessor it replaces.
     pub fn new(demand: &LinkDemand) -> Self {
         let n = demand.n_frames();
-        let per_frame: Vec<(Time, Time, u64)> = (0..n)
-            .map(|k| (demand.t(k), demand.c(k), demand.n_ethernet_frames(k)))
-            .collect();
-        let mut windows: Vec<(Time, Time, u64)> = Vec::with_capacity(n.saturating_mul(n));
+        let mut windows: Vec<WindowRow> = Vec::with_capacity(n.saturating_mul(n));
         for k1 in 0..n {
             let mut span = Time::ZERO;
             let mut csum = Time::ZERO;
             let mut nsum = 0u64;
-            for k2 in 1..=n {
-                let (_, c, n_eth) = per_frame[(k1 + k2 - 1) % n];
+            for k in k1..k1 + n {
                 // `tsum_window(k1, k2)` sums the k2-1 gaps *between* the
                 // frames: the gap after the window's last frame joins the
                 // span only once the next frame extends the window.
-                if k2 > 1 {
-                    let (prev_gap, _, _) = per_frame[(k1 + k2 - 2) % n];
-                    span += prev_gap; // tidy-allow: time-arith Time addition saturates
+                if k > k1 {
+                    span += demand.t(k - 1); // tidy-allow: time-arith Time addition saturates
                 }
-                csum += c; // tidy-allow: time-arith Time addition saturates
-                nsum = nsum.saturating_add(n_eth);
-                windows.push((span, csum, nsum));
+                csum += demand.c(k); // tidy-allow: time-arith Time addition saturates
+                nsum = nsum.saturating_add(demand.n_ethernet_frames(k));
+                windows.push(WindowRow {
+                    span,
+                    csum_max: csum,
+                    nsum_max: nsum,
+                });
             }
         }
-        windows.sort_unstable_by_key(|w| w.0);
+        windows.sort_unstable_by_key(|row| row.span);
 
-        let mut rows: Vec<WindowRow> = Vec::with_capacity(windows.len());
+        // Running maxima (seeded at zero like the closed form's
+        // accumulator), then one row per distinct span: the last of each
+        // run of equal spans carries the maxima over all of them.
         let mut best_c = Time::ZERO;
         let mut best_n = 0u64;
-        for (span, c, n_eth) in windows {
-            best_c = best_c.max(c);
-            best_n = best_n.max(n_eth);
-            match rows.last_mut() {
-                Some(last) if last.span == span => {
-                    last.csum_max = best_c;
-                    last.nsum_max = best_n;
-                }
-                _ => rows.push(WindowRow {
-                    span,
-                    csum_max: best_c,
-                    nsum_max: best_n,
-                }),
-            }
+        for row in &mut windows {
+            best_c = best_c.max(row.csum_max);
+            best_n = best_n.max(row.nsum_max);
+            row.csum_max = best_c;
+            row.nsum_max = best_n;
         }
+        windows.dedup_by(|later, kept| {
+            let same = later.span == kept.span;
+            if same {
+                *kept = *later;
+            }
+            same
+        });
 
         DemandTable {
-            windows: rows,
+            windows,
             csum: demand.csum(),
             nsum: demand.nsum(),
             tsum: demand.tsum(),

@@ -3,8 +3,9 @@
 // Test code may unwrap freely; the workspace lint targets library code.
 #![allow(clippy::unwrap_used)]
 
+use gmf_model::encapsulation::DATA_BITS_PER_FULL_FRAME;
 use gmf_model::prelude::*;
-use gmf_model::{packetize, LinkDemand};
+use gmf_model::{packetize, wire_totals, Encapsulation, LinkDemand};
 use proptest::prelude::*;
 
 fn arb_frames() -> impl Strategy<Value = Vec<FrameSpec>> {
@@ -86,6 +87,37 @@ proptest! {
         prop_assert_eq!(slow, fast * 10u64);
         let expected = p.total_wire_bits.as_bits() as f64 / 1.0e7;
         prop_assert_eq!(slow, Time::from_secs(expected));
+    }
+
+    /// The allocation-free totals `LinkDemand::new` uses equal
+    /// `packetize`'s frame count and wire bits, for payloads from zero to
+    /// three full frames and for payloads one bit either side of every
+    /// full-frame boundary, under UDP and RTP, with and without the
+    /// minimum-frame floor.
+    #[test]
+    fn wire_totals_match_packetize(
+        random in 0u64..=3 * DATA_BITS_PER_FULL_FRAME + 1,
+        boundary in (0u64..=3, 0u64..3),
+        on_boundary in 0u8..2,
+        rtp in 0u8..2,
+        min_frame in 0u8..2,
+    ) {
+        let config = EncapsulationConfig {
+            encapsulation: if rtp == 1 { Encapsulation::RtpUdp } else { Encapsulation::Udp },
+            enforce_min_frame: min_frame == 1,
+        };
+        // One bit less than, exactly, or one bit more than the payload
+        // whose datagram fills `frames` full frames.
+        let payload = if on_boundary == 1 {
+            let (frames, delta) = boundary;
+            (frames * DATA_BITS_PER_FULL_FRAME + delta)
+                .saturating_sub(config.encapsulation.header_bits().as_bits() + 1)
+        } else {
+            random
+        };
+        let payload = Bits::from_bits(payload);
+        let p = packetize(payload, &config);
+        prop_assert_eq!(wire_totals(payload, &config), (p.n_ethernet_frames, p.total_wire_bits));
     }
 
     /// Dense arrival traces respect the declared minimum inter-arrival times

@@ -127,10 +127,11 @@ pub const RULES: &[RuleDef] = &[
     },
     RuleDef {
         name: "alloc",
-        rationale: "the per-frame kernel paths must stay allocation-free: storage \
-                    comes from the per-worker KernelScratch arena, reset per flow. \
-                    Vec::new/to_vec/collect there reintroduces per-frame heap \
-                    traffic the refactor removed.",
+        rationale: "the per-frame kernel paths and the per-flow walk must stay \
+                    allocation-free: storage comes from the run's KernelScratch \
+                    arena, reset per flow, and responses go to the engine's \
+                    response buffer. Vec::new/Vec::with_capacity/vec!/to_vec/collect \
+                    there reintroduces per-frame heap traffic.",
     },
 ];
 
@@ -235,11 +236,18 @@ const HOT_PATHS: &[&str] = &[
     "crates/gmf-model/src/table.rs",
 ];
 
-/// The per-frame kernel modules where heap allocation is banned entirely
-/// (rule `alloc`): every byte of scratch must come from the per-worker
-/// `KernelScratch` arena so the steady-state analysis loop performs no
-/// allocator calls at all.
-const ALLOC_SCOPE: &[&str] = &["crates/analysis/src/kernel.rs"];
+/// The per-frame kernel modules and the per-flow walk where heap
+/// allocation is banned entirely (rule `alloc`): every byte of scratch
+/// must come from the run's `KernelScratch` arena and every response goes
+/// to the engine's response buffer, so the steady-state analysis loop
+/// performs no allocator calls at all.
+const ALLOC_SCOPE: &[&str] = &[
+    "crates/analysis/src/kernel.rs",
+    "crates/analysis/src/pipeline.rs",
+    "crates/analysis/src/first_hop.rs",
+    "crates/analysis/src/ingress.rs",
+    "crates/analysis/src/egress.rs",
+];
 
 fn rule_applies(rule: &str, ctx: &FileCtx<'_>) -> bool {
     // Test code may use whatever is convenient; the properties it asserts
@@ -347,7 +355,13 @@ fn rule_check(rule: &str, code: &str, kind: FileKind) -> Option<String> {
         "time-arith" => ["+=", "-="].iter().find(|t| code.contains(**t)).map(|t| {
             format!("`{t}` in an analysis hot path; use Time's saturating operators or u64::saturating_add")
         }),
-        "alloc" => ["Vec::new", ".to_vec(", ".collect("]
+        "alloc" => [
+            "Vec::new",
+            "Vec::with_capacity",
+            "vec![",
+            ".to_vec(",
+            ".collect(",
+        ]
             .iter()
             .find(|t| code.contains(**t))
             .map(|t| {
@@ -671,7 +685,7 @@ pub fn check_workspace(root: &Path) -> io::Result<Vec<Violation>> {
 mod tests {
     use super::*;
 
-    const LIB: &str = "crates/analysis/src/pipeline.rs";
+    const LIB: &str = "crates/analysis/src/report.rs";
 
     fn check(rel: &str, src: &str) -> Vec<Violation> {
         check_source(rel, src)
@@ -820,6 +834,8 @@ mod tests {
         let kernel = "crates/analysis/src/kernel.rs";
         for bad in [
             "let v: Vec<Time> = Vec::new();\n",
+            "let v: Vec<Time> = Vec::with_capacity(n);\n",
+            "let v = vec![Time::ZERO; n];\n",
             "let copy = slice.to_vec();\n",
             "let all: Vec<Time> = items.iter().map(f).collect();\n",
         ] {
@@ -827,6 +843,20 @@ mod tests {
             // The same allocation outside the kernel paths is fine.
             assert!(check(LIB, bad).is_empty(), "{bad:?}");
         }
+        // The per-flow walk and the stage modules are in scope too; the
+        // engine that owns the buffers is not.
+        for path in [
+            "crates/analysis/src/pipeline.rs",
+            "crates/analysis/src/first_hop.rs",
+            "crates/analysis/src/ingress.rs",
+            "crates/analysis/src/egress.rs",
+        ] {
+            let bad = "let hops = Vec::with_capacity(stages);\n";
+            assert_eq!(rules_fired(&check(path, bad)), ["alloc"], "{path}");
+            assert_eq!(rules_fired(&check(path, "let w = vec![];\n")), ["alloc"]);
+        }
+        let engine = "crates/analysis/src/fixed_point.rs";
+        assert!(check(engine, "let v = vec![false; n];\n").is_empty());
         // Arena reuse is the sanctioned pattern.
         assert!(check(kernel, "scratch.terms.extend(specs.iter().map(f));\n").is_empty());
         // The escape hatch documents intentional one-time allocation.
@@ -902,7 +932,7 @@ mod tests {
         let v = &check(LIB, "use std::collections::HashSet;\n")[0];
         let s = v.to_string();
         assert!(
-            s.starts_with("crates/analysis/src/pipeline.rs:1: [hash]"),
+            s.starts_with("crates/analysis/src/report.rs:1: [hash]"),
             "{s}"
         );
     }
