@@ -17,27 +17,21 @@
 //! (weakly-connected components of the jitter-dependency graph) whose
 //! analyses are completely independent.  The controller maintains that
 //! partition incrementally and the batched entry point
-//! ([`AdmissionController::request_batch`]) exploits it:
+//! ([`AdmissionController::request_batch`]) decides its requests in
+//! submission order on the controller's own state:
 //!
-//! 1. requests are grouped into **lanes** — two requests share a lane iff
-//!    their routes touch a common shard or directed link — and lanes run
-//!    **concurrently** via `gmf-par` (deterministically: the lane
-//!    assignment and every result are pure functions of the inputs, never
-//!    of scheduling);
-//! 2. each trial analyses only the candidate's shard (the union of the
-//!    shards its route touches), **warm-started** from the members'
-//!    cached converged jitters with re-verification scoped by
+//! 1. each request's trial set is carved out of the accepted set: the
+//!    shards its route touches on the partition, plus the candidate;
+//! 2. the trial analyses only that set, **warm-started** from the
+//!    members' cached converged jitters with re-verification scoped by
 //!    `affected_flows` — flows outside the closure keep their cached
 //!    [`FlowReport`] verbatim;
-//! 3. a lane seeds its warm state **once** from the shared cache — one
-//!    entry per flow (its converged jitters and, when fresh, its report,
-//!    both shared by `Arc`) — and rolls it forward across its requests:
-//!    a trial loads each member's jitters with one copy, builds one dense
-//!    dependency scope, and reuses every demand and demand table an
-//!    earlier trial of the lane compiled; an acceptance refreshes only
-//!    the entries of the flows the trial re-analysed.  Compiled demands
-//!    stay lane-local (dropped when the lane ends) so the controller's
-//!    memory does not grow with the accepted set (DESIGN.md §4.4);
+//! 3. the warm cache holds one entry per flow (its converged jitters
+//!    and, when fresh, its report, both shared by `Arc`): a trial loads
+//!    each member's jitters with one copy and builds one context and one
+//!    dense dependency scope, and an acceptance registers the candidate
+//!    in the accepted set and the partition and refreshes only the
+//!    entries of the flows the trial re-analysed;
 //! 4. the engine **falls back to a cold per-shard restart** whenever the
 //!    shard's dependency graph is cyclic (warm seeds could latch onto a
 //!    non-least fixed point) or the warm run fails to converge — so every
@@ -61,14 +55,14 @@
 //! once.
 
 use crate::config::AnalysisConfig;
-use crate::context::{AnalysisContext, CompiledDemands};
+use crate::context::AnalysisContext;
 use crate::dense::DenseJitters;
 use crate::deps::{DependencyGraph, DependencyScope, ShardId};
 use crate::error::AnalysisError;
 use crate::fixed_point::{iterate, run, ConvergenceTrace, DenseRun, Scope};
 use crate::report::{AnalysisReport, FlowReport};
 use gmf_model::{EncapsulationConfig, FlowId, GmfFlow, Time};
-use gmf_net::{FlowBinding, FlowSet, NodeId, Priority, Route, Topology};
+use gmf_net::{FlowBinding, FlowSet, Priority, Route, Topology};
 use gmf_par::{par_map_weighted, Threads};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -329,45 +323,13 @@ struct WarmFlow {
 }
 
 /// The converged state of the accepted set: one entry per flow, so seeding
-/// a lane, seeding a trial, rolling a lane forward and merging it back
-/// each cost one map operation per flow.
+/// a trial and refreshing it after an acceptance each cost one map
+/// operation per flow.  An empty map means "no warm state".
 type WarmCache = BTreeMap<FlowId, WarmFlow>;
 
 /// Per flow index of a trial: the cached report a scoped run carried
 /// through frozen, or `None` for a flow it re-analysed.
 type FrozenReports = Vec<Option<Arc<FlowReport>>>;
-
-/// The conflict-footprint tokens of one batched request: two requests
-/// sharing any token must run in the same lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum LaneToken {
-    /// The request's route touches this existing shard.
-    Shard(ShardId),
-    /// The request's route transmits on this directed link (couples two
-    /// candidates even when no accepted flow uses the link yet).
-    Link(NodeId, NodeId),
-}
-
-/// One lane of a batched request: the request indices it processes (in
-/// submission order) and the accepted flows its shards span.
-#[derive(Debug)]
-struct LaneInput {
-    indices: Vec<usize>,
-    members: BTreeSet<FlowId>,
-}
-
-/// What one lane produced: per-request decisions, the bindings it
-/// accepted, its rolled-forward warm state and the first hard error (the
-/// lane stops there).
-struct LaneOutput {
-    decisions: Vec<(usize, AdmissionDecision)>,
-    commits: Vec<(usize, FlowBinding)>,
-    warm: WarmCache,
-    /// Every flow the merged-back cache slice covers: the lane's starting
-    /// members plus its accepted candidates.
-    touched: BTreeSet<FlowId>,
-    error: Option<(usize, AnalysisError)>,
-}
 
 /// An admission controller for one operator-managed network.
 #[derive(Debug, Clone)]
@@ -375,7 +337,9 @@ pub struct AdmissionController {
     topology: Topology,
     accepted: FlowSet,
     config: AnalysisConfig,
-    cache: Option<WarmCache>,
+    /// The accepted flows' converged state (empty before the first
+    /// decision and after a hard error dropped it).
+    cache: WarmCache,
     /// The shard partition of `accepted`, maintained incrementally under
     /// every accept and release (releases scope their invalidation with
     /// it).
@@ -389,7 +353,7 @@ impl AdmissionController {
             topology,
             accepted: FlowSet::new(),
             config,
-            cache: None,
+            cache: WarmCache::new(),
             partition: DependencyGraph::default(),
         }
     }
@@ -470,7 +434,7 @@ impl AdmissionController {
                 topology,
                 accepted,
                 config,
-                cache: Some(cache),
+                cache,
                 partition,
             },
             stats,
@@ -506,13 +470,9 @@ impl AdmissionController {
     /// Ask to admit a batch of candidates, returning one decision per
     /// request in submission order.
     ///
-    /// The batch is equivalent to submitting the requests one at a time
-    /// in order: each trial runs against the accepted set plus every
-    /// *earlier accepted* request of the same batch.  Requests whose
-    /// routes touch disjoint shards (and share no directed link) cannot
-    /// influence each other, so the controller runs them concurrently —
-    /// grouped into lanes with `config.threads` workers — with
-    /// byte-identical decisions at any thread count.
+    /// The batch is exactly the requests submitted one at a time in order:
+    /// each trial runs against the accepted set plus every *earlier
+    /// accepted* request of the same batch, on the calling thread.
     ///
     /// Every request consumes exactly one flow id, accepted or rejected:
     /// request `i` of a batch is analysed (and, on acceptance,
@@ -532,9 +492,6 @@ impl AdmissionController {
         requests: impl IntoIterator<Item = AdmissionRequest>,
     ) -> Result<Vec<AdmissionDecision>, AnalysisError> {
         let requests: Vec<AdmissionRequest> = requests.into_iter().collect();
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
         // Validate every route against the topology up front so
         // structural errors surface as errors, not rejections — and
         // before any flow id is consumed.
@@ -543,314 +500,114 @@ impl AdmissionController {
                 .map_err(AnalysisError::Net)?;
         }
         let base = self.accepted.reserve_ids(requests.len());
-        let bindings: Vec<FlowBinding> = requests
-            .into_iter()
-            .enumerate()
-            .map(|(i, request)| request.into_binding(FlowId(base.0 + i)))
-            .collect();
-        self.decide_in_lanes(bindings)
-    }
-
-    /// The batch body: shard-scoped lanes running concurrently.
-    fn decide_in_lanes(
-        &mut self,
-        bindings: Vec<FlowBinding>,
-    ) -> Result<Vec<AdmissionDecision>, AnalysisError> {
-        let n = bindings.len();
-        // Group the requests into lanes with a union-find over request
-        // indices: two requests conflict iff they touch a common accepted
-        // shard or share a directed link.
-        let touched_shards: Vec<Vec<ShardId>> = bindings
-            .iter()
-            .map(|b| self.partition.shards_touching_route(&b.route))
-            .collect();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut i: usize) -> usize {
-            while parent[i] != i {
-                parent[i] = parent[parent[i]]; // path halving
-                i = parent[i];
-            }
-            i
-        }
-        let mut token_owner: BTreeMap<LaneToken, usize> = BTreeMap::new();
-        for (i, binding) in bindings.iter().enumerate() {
-            let tokens = binding
-                .route
-                .hops()
-                .map(|hop| LaneToken::Link(hop.from, hop.to))
-                .chain(touched_shards[i].iter().map(|&s| LaneToken::Shard(s)));
-            for token in tokens {
-                match token_owner.entry(token) {
-                    std::collections::btree_map::Entry::Occupied(owner) => {
-                        let (a, b) = (find(&mut parent, i), find(&mut parent, *owner.get()));
-                        // Either root works; pick the smaller index so the
-                        // result is independent of token order.
-                        parent[a.max(b)] = a.min(b);
-                    }
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        slot.insert(i);
-                    }
+        let mut decisions = Vec::with_capacity(requests.len());
+        for (i, request) in requests.into_iter().enumerate() {
+            match self.decide(request.into_binding(FlowId(base.0 + i))) {
+                Ok(decision) => decisions.push(decision),
+                Err(error) => {
+                    self.cache.clear();
+                    return Err(error);
                 }
             }
         }
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for i in 0..n {
-            let root = find(&mut parent, i);
-            groups.entry(root).or_default().push(i);
+        Ok(decisions)
+    }
+
+    /// Decide one request against the accepted set, registering the
+    /// candidate on acceptance.
+    fn decide(&mut self, binding: FlowBinding) -> Result<AdmissionDecision, AnalysisError> {
+        let candidate = binding.id;
+        // The candidate's trial set: the union of the shards its route
+        // touches, plus the candidate itself.
+        let partition = &self.partition;
+        let members = partition
+            .shards_touching_route(&binding.route)
+            .into_iter()
+            .flat_map(|shard| {
+                partition
+                    .shard_flows(shard)
+                    // tidy-allow: unwrap invariant: shard ids come from shards_touching_route
+                    .expect("touched shard exists")
+                    .iter()
+                    .copied()
+            });
+        let mut trial = self.accepted.subset(members);
+        trial.insert(binding.clone()).map_err(AnalysisError::Net)?;
+        let ctx = AnalysisContext::new(&self.topology, &trial)?;
+
+        // Warm attempt, seeded from the cache.  No cached state for any
+        // member means the shard has none at all — go straight to the
+        // cold path.
+        let mut cost = DecisionCost {
+            rounds: 0,
+            flow_analyses: 0,
+            warm: false,
+            shard: ShardId(trial.bindings()[0].id),
+            shard_flows: trial.len(),
+        };
+        let mut run: Option<(DenseRun, FrozenReports)> = None;
+        if trial
+            .ids()
+            .any(|f| f != candidate && self.cache.contains_key(&f))
+        {
+            match warm_shard_trial(&ctx, &self.config, candidate, &self.cache) {
+                Ok(Some((warm, frozen))) => {
+                    cost.rounds += warm.report.iterations;
+                    cost.flow_analyses += warm.flow_analyses;
+                    if warm.report.converged {
+                        cost.warm = true;
+                        run = Some((warm, frozen));
+                    }
+                }
+                Ok(None) => {}
+                // A seed above the fixed point (stale after departures)
+                // can turn jitter-dependent inner iterations into hard
+                // errors a cold run never hits.  The verdict must not
+                // depend on the seed, so restart cold — structural errors
+                // reproduce identically there.
+                Err(_) => {}
+            }
         }
-        let lanes: Vec<LaneInput> = groups
-            .into_values()
-            .map(|indices| {
-                let mut members = BTreeSet::new();
-                for &i in &indices {
-                    for &shard in &touched_shards[i] {
-                        members.extend(
-                            self.partition
-                                .shard_flows(shard)
-                                // tidy-allow: unwrap invariant: shard ids come from shards_touching_route
-                                .expect("touched shard exists")
-                                .iter()
-                                .copied(),
+        let (run, frozen) = match run {
+            Some(run) => run,
+            None => {
+                let cold = iterate(&ctx, &self.config)?;
+                cost.rounds += cold.report.iterations;
+                cost.flow_analyses += cold.flow_analyses;
+                (cold, Vec::new())
+            }
+        };
+        let DenseRun {
+            report, jitters, ..
+        } = run;
+        if report.schedulable {
+            // Refresh the warm entry of every flow the run re-analysed
+            // (frozen flows carried their cached jitters and report
+            // through unchanged).
+            match &jitters {
+                Some(x) => {
+                    for (flow, flow_report) in report.flows.iter().enumerate() {
+                        if frozen.get(flow).is_some_and(Option::is_some) {
+                            continue;
+                        }
+                        self.cache.insert(
+                            flow_report.flow,
+                            warm_flow(&ctx, x, flow, flow_report.clone()),
                         );
                     }
                 }
-                LaneInput { indices, members }
-            })
-            .collect();
-        // `groups` is keyed by the union-find root, which is each lane's
-        // smallest index — so `lanes` is already ordered by first request.
-
-        // Lanes are independent, so they run concurrently.
-        let outputs: Vec<LaneOutput> = {
-            let ctl: &AdmissionController = &*self;
-            par_map_weighted(
-                Threads::new(ctl.config.threads),
-                &lanes,
-                |lane| u64::try_from(lane.members.len() + lane.indices.len()).unwrap_or(u64::MAX),
-                |_, lane| ctl.run_lane(lane, &bindings),
-            )
-        };
-
-        // Merge, in request order.  On a hard error at request `e`, keep
-        // the acceptances before `e` (the sequential-equivalent state)
-        // and drop the cache.
-        let cutoff = outputs
-            .iter()
-            .filter_map(|o| o.error.as_ref().map(|&(i, _)| i))
-            .min()
-            .unwrap_or(n);
-        let mut commits: Vec<&(usize, FlowBinding)> =
-            outputs.iter().flat_map(|o| &o.commits).collect();
-        commits.sort_by_key(|&&(i, _)| i);
-        for &(i, ref binding) in commits {
-            if i >= cutoff {
-                continue;
+                // No converged map handed back (cannot happen for a
+                // schedulable report, but stay safe): drop the warm state
+                // rather than risk a stale entry.
+                None => self.cache.clear(),
             }
+            self.partition.insert(&binding);
             self.accepted
-                .insert(binding.clone())
+                .insert(binding)
                 // tidy-allow: unwrap invariant: batch ids are reserved and unique
                 .expect("batch ids are reserved and unique");
-            self.partition.insert(binding);
         }
-        if let Some((_, error)) = outputs
-            .iter()
-            .filter_map(|o| o.error.clone())
-            .min_by_key(|e| e.0)
-        {
-            self.cache = None;
-            return Err(error);
-        }
-
-        // No errors: fold every lane's rolled-forward warm state back
-        // into the shared cache (lanes are disjoint, so slices never
-        // overlap) and assemble the decisions in submission order.
-        let mut cache = self.cache.take().unwrap_or_default();
-        let mut decisions: Vec<Option<AdmissionDecision>> = (0..n).map(|_| None).collect();
-        for mut output in outputs {
-            for flow in output.touched {
-                match output.warm.remove(&flow) {
-                    Some(warm) => cache.insert(flow, warm),
-                    None => cache.remove(&flow),
-                };
-            }
-            for (index, decision) in output.decisions {
-                decisions[index] = Some(decision);
-            }
-        }
-        self.cache = Some(cache);
-        Ok(decisions
-            .into_iter()
-            // tidy-allow: unwrap invariant: error-free lanes decide every request
-            .map(|d| d.expect("error-free lanes decide every request"))
-            .collect())
-    }
-
-    /// Process one lane: its requests in submission order, against a
-    /// lane-local accepted subset, partition and warm-cache slice that
-    /// roll forward across the lane's acceptances.
-    fn run_lane(&self, lane: &LaneInput, bindings: &[FlowBinding]) -> LaneOutput {
-        let config = &self.config;
-        let mut lane_set = self.accepted.subset(lane.members.iter().copied());
-        let mut lane_partition = DependencyGraph::new(&lane_set);
-        // Seed the lane's warm state once from the shared cache (one entry
-        // per flow, shared by `Arc`); every request of the lane then reuses
-        // (and, on acceptance, advances) this slice.
-        let mut lane_warm: WarmCache = self
-            .cache
-            .iter()
-            .flat_map(|cache| {
-                lane.members
-                    .iter()
-                    .filter_map(|flow| cache.get(flow).map(|warm| (*flow, warm.clone())))
-            })
-            .collect();
-        // Demands and tables compiled by the lane's earlier trials: its
-        // bindings and topology are fixed, so every later trial reuses them.
-        let mut compiled = CompiledDemands::default();
-        let mut out = LaneOutput {
-            decisions: Vec::with_capacity(lane.indices.len()),
-            commits: Vec::new(),
-            warm: WarmCache::new(),
-            touched: lane.members.clone(),
-            error: None,
-        };
-        for &index in &lane.indices {
-            let binding = &bindings[index];
-            // The candidate's trial set: the union of the shards its
-            // route touches (within the lane's rolled-forward state),
-            // plus the candidate itself.  When those shards are the whole
-            // lane set, the trial takes the lane set over instead of
-            // copying it, and hands it back afterwards.
-            let touched = lane_partition.shards_touching_route(&binding.route);
-            let shard_members = |shard: &ShardId| {
-                lane_partition
-                    .shard_flows(*shard)
-                    // tidy-allow: unwrap invariant: shard ids come from shards_touching_route
-                    .expect("touched shard exists")
-            };
-            let whole_lane = touched
-                .iter()
-                .map(|s| shard_members(s).len())
-                .sum::<usize>()
-                == lane_set.len();
-            let mut trial = if whole_lane {
-                std::mem::take(&mut lane_set)
-            } else {
-                lane_set.subset(
-                    touched
-                        .iter()
-                        .flat_map(|s| shard_members(s).iter().copied()),
-                )
-            };
-            if let Err(e) = trial.insert(binding.clone()) {
-                out.error = Some((index, AnalysisError::Net(e)));
-                break;
-            }
-            let ctx = match AnalysisContext::with_compiled(&self.topology, &trial, &mut compiled) {
-                Ok(ctx) => ctx,
-                Err(e) => {
-                    out.error = Some((index, e));
-                    break;
-                }
-            };
-
-            // Warm attempt, seeded from the lane's warm slice.  No cached
-            // state for any member means the shard has none at all — go
-            // straight to the cold path.
-            let mut cost = DecisionCost {
-                rounds: 0,
-                flow_analyses: 0,
-                warm: false,
-                shard: ShardId(trial.bindings()[0].id),
-                shard_flows: trial.len(),
-            };
-            let mut run: Option<(DenseRun, FrozenReports)> = None;
-            if trial
-                .ids()
-                .any(|f| f != binding.id && lane_warm.contains_key(&f))
-            {
-                match warm_shard_trial(&ctx, config, binding.id, &lane_warm) {
-                    Ok(Some((warm, frozen))) => {
-                        cost.rounds += warm.report.iterations;
-                        cost.flow_analyses += warm.flow_analyses;
-                        if warm.report.converged {
-                            cost.warm = true;
-                            run = Some((warm, frozen));
-                        }
-                    }
-                    Ok(None) => {}
-                    // A seed above the fixed point (stale after
-                    // departures) can turn jitter-dependent inner
-                    // iterations into hard errors a cold run never hits.
-                    // The verdict must not depend on the seed, so restart
-                    // cold — structural errors reproduce identically
-                    // there.
-                    Err(_) => {}
-                }
-            }
-            let (run, frozen) = match run {
-                Some(run) => run,
-                None => match iterate(&ctx, config) {
-                    Ok(cold) => {
-                        cost.rounds += cold.report.iterations;
-                        cost.flow_analyses += cold.flow_analyses;
-                        (cold, Vec::new())
-                    }
-                    Err(e) => {
-                        out.error = Some((index, e));
-                        break;
-                    }
-                },
-            };
-            let DenseRun {
-                report, jitters, ..
-            } = run;
-            if report.schedulable {
-                // Roll the lane state forward: refresh the warm entry of
-                // every flow the run re-analysed (frozen flows carried
-                // their cached jitters and report through unchanged).
-                match &jitters {
-                    Some(x) => {
-                        for (flow, flow_report) in report.flows.iter().enumerate() {
-                            if frozen.get(flow).is_some_and(Option::is_some) {
-                                continue;
-                            }
-                            lane_warm.insert(
-                                flow_report.flow,
-                                warm_flow(&ctx, x, flow, flow_report.clone()),
-                            );
-                        }
-                    }
-                    // No converged map handed back (cannot happen for a
-                    // schedulable report, but stay safe): drop the lane's
-                    // warm state rather than risk a stale slice.
-                    None => lane_warm.clear(),
-                }
-                drop(ctx);
-                lane_partition.insert(binding);
-                if whole_lane {
-                    lane_set = trial;
-                } else {
-                    lane_set
-                        .insert(binding.clone())
-                        // tidy-allow: unwrap invariant: batch ids are reserved and unique
-                        .expect("batch ids are reserved and unique");
-                }
-                out.touched.insert(binding.id);
-                out.commits.push((index, binding.clone()));
-            } else if whole_lane {
-                drop(ctx);
-                trial
-                    .remove(binding.id)
-                    // tidy-allow: unwrap invariant: the candidate was inserted above
-                    .expect("the candidate is in its trial set");
-                lane_set = trial;
-            }
-            out.decisions
-                .push((index, build_decision(binding.id, report, cost)));
-        }
-        out.warm = lane_warm;
-        out
+        Ok(build_decision(candidate, report, cost))
     }
 
     /// Release (tear down) an accepted flow — the departure half of the
@@ -896,33 +653,32 @@ impl AdmissionController {
             }
         }
         // Compute the invalidation union on the *pre-removal* shards: the
-        // departing flows' interference edges still exist there.
-        let affected = if self.cache.is_some() {
-            self.invalidated_by(ids)
+        // departing flows' interference edges still exist there.  An empty
+        // cache has nothing to invalidate.
+        let affected = if self.cache.is_empty() {
+            Some(BTreeSet::new())
         } else {
-            None
+            self.invalidated_by(ids)
         };
         let mut bindings = Vec::with_capacity(ids.len());
         for &id in ids {
             bindings.push(self.accepted.remove(id).map_err(AnalysisError::Net)?);
         }
         self.partition.remove_many(&bindings, &self.accepted);
-        if let Some(cache) = self.cache.as_mut() {
-            match affected {
-                Some(affected) => {
-                    for id in ids {
-                        cache.remove(id);
-                    }
-                    for flow in affected {
-                        if let Some(warm) = cache.get_mut(&flow) {
-                            warm.report = None;
-                        }
+        match affected {
+            Some(affected) => {
+                for id in ids {
+                    self.cache.remove(id);
+                }
+                for flow in affected {
+                    if let Some(warm) = self.cache.get_mut(&flow) {
+                        warm.report = None;
                     }
                 }
-                // No dependency information for some departing flow: drop
-                // the whole cache and let the next request restart cold.
-                None => self.cache = None,
             }
+            // No dependency information for some departing flow: drop the
+            // whole cache and let the next request restart cold.
+            None => self.cache.clear(),
         }
         Ok(bindings)
     }
@@ -1023,11 +779,9 @@ impl AdmissionController {
     /// that a departure or a trial could have changed are invalidated
     /// eagerly and only re-inserted by a converged analysis.
     pub fn cached_reports(&self) -> impl Iterator<Item = (FlowId, &FlowReport)> + '_ {
-        self.cache.iter().flat_map(|cache| {
-            cache
-                .iter()
-                .filter_map(|(id, warm)| Some((*id, warm.report.as_deref()?)))
-        })
+        self.cache
+            .iter()
+            .filter_map(|(id, warm)| Some((*id, warm.report.as_deref()?)))
     }
 
     /// Re-run the analysis of the currently accepted set (e.g. after the
@@ -1091,14 +845,14 @@ fn warm_flow(
 /// Run the warm-started, dependency-scoped trial analysis of one shard,
 /// or return `None` when warm-starting is unsound or unavailable for this
 /// trial (cyclic dependency graph, unwalkable route).  The seed holds the
-/// lane's cached jitters of the trial's members and the paper's initial
+/// cached jitters of the trial's members and the paper's initial
 /// entries for the candidate.  Returns the run with the per-flow frozen
 /// reports it carried through.
 fn warm_shard_trial(
     ctx: &AnalysisContext<'_>,
     config: &AnalysisConfig,
     candidate_id: FlowId,
-    lane_warm: &WarmCache,
+    cache: &WarmCache,
 ) -> Result<Option<(DenseRun, FrozenReports)>, AnalysisError> {
     // One dependency-graph construction answers both questions: is the
     // trial acyclic (warm starts are unsound otherwise) and what the
@@ -1120,7 +874,7 @@ fn warm_shard_trial(
     let mut seed = DenseJitters::zeroed(plan);
     let mut frozen = Vec::with_capacity(trial.len());
     for (flow, binding) in trial.bindings().iter().enumerate() {
-        let warm = lane_warm.get(&binding.id);
+        let warm = cache.get(&binding.id);
         if let Some(warm) = warm {
             seed.load_flow(plan, flow, &warm.jitters);
         }
@@ -1130,7 +884,7 @@ fn warm_shard_trial(
             warm.and_then(|w| w.report.clone())
         });
     }
-    debug_assert!(!lane_warm.contains_key(&candidate_id));
+    debug_assert!(!cache.contains_key(&candidate_id));
     seed.set_initial_flow(plan, candidate, &trial.bindings()[candidate]);
 
     let scope = Scope { frozen: &frozen };
@@ -1385,16 +1139,15 @@ mod tests {
                     Priority(7),
                 ),
                 AdmissionRequest::new(
-                    // Link-disjoint from every other request: its own lane.
+                    // Link-disjoint from every other request: its own shard.
                     voice(25.0),
                     shortest_path(t, net.hosts[3], net.hosts[2]).unwrap(),
                     Priority(7),
                 ),
             ]
         };
-        // The batched controller runs its lanes on four workers; lanes
-        // are deterministic, so the decisions must match a sequential
-        // single-threaded submission byte for byte.
+        // A batch decides exactly like one-at-a-time submission, whatever
+        // the thread count: the decisions match byte for byte.
         let mut batched =
             AdmissionController::new(t.clone(), AnalysisConfig::paper().with_threads(4));
         let batch = batched.request_batch(requests(&t)).unwrap();
@@ -1419,6 +1172,37 @@ mod tests {
 
         // An empty batch is a no-op.
         assert_eq!(batched.request_batch([]).unwrap(), vec![]);
+
+        // Two requests found separate new shards and a later one bridges
+        // them: its trial spans both shards and runs warm off the entries
+        // the earlier requests of the same batch left behind.
+        let bridged = |t: &Topology| {
+            [(0, 2), (3, 1), (3, 2)].map(|(from, to)| {
+                AdmissionRequest::new(
+                    voice(25.0),
+                    shortest_path(t, net.hosts[from], net.hosts[to]).unwrap(),
+                    Priority(7),
+                )
+            })
+        };
+        let mut batched =
+            AdmissionController::new(t.clone(), AnalysisConfig::paper().with_threads(4));
+        let batch = batched.request_batch(bridged(&t)).unwrap();
+        assert!(batch.iter().all(AdmissionDecision::is_accepted));
+        assert_eq!(batch[0].cost().shard_flows, 1);
+        assert_eq!(batch[1].cost().shard_flows, 1);
+        assert_eq!(batch[2].cost().shard, ShardId(FlowId(0)));
+        assert_eq!(batch[2].cost().shard_flows, 3);
+        assert!(batch[2].cost().warm);
+        assert_eq!(batched.partition().n_shards(), 1);
+
+        let mut seq = AdmissionController::new(t.clone(), AnalysisConfig::paper());
+        let sequential: Vec<AdmissionDecision> = bridged(&t)
+            .into_iter()
+            .map(|r| seq.request_batch([r]).unwrap().pop().unwrap())
+            .collect();
+        assert_eq!(batch, sequential);
+        assert_eq!(batched.accepted(), seq.accepted());
     }
 
     #[test]

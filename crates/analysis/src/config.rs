@@ -52,10 +52,11 @@ pub struct AnalysisConfig {
     ///   the interference window and charge one `MFT` blocking and one
     ///   `CIRC(N)` send-task wait per own Ethernet frame.
     pub refine: bool,
-    /// Worker threads for independent units of work: the admission
-    /// controller's request lanes and its shard-by-shard preload
-    /// verification.  A single holistic analysis always runs on the
-    /// caller's thread and never reads this field.  `1` (the default)
+    /// Worker threads for the admission controller's shard-by-shard
+    /// preload verification ([`crate::AdmissionController::with_accepted`]),
+    /// the one place this crate runs independent units in parallel.  A
+    /// single holistic analysis and every admission decision run on the
+    /// caller's thread and never read this field.  `1` (the default)
     /// spawns no threads; any value produces byte-identical reports and
     /// decisions.
     pub threads: usize,
@@ -115,8 +116,8 @@ impl AnalysisConfig {
         self
     }
 
-    /// Override the worker-thread count for admission lanes and shard
-    /// preloads (`0` is treated as 1).
+    /// Override the worker-thread count for the admission controller's
+    /// shard preload (`0` is treated as 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self

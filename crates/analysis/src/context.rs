@@ -19,9 +19,8 @@
 
 use crate::error::AnalysisError;
 use gmf_model::{DemandTable, FlowId, GmfFlow, LinkDemand, Time};
-use gmf_net::{FlowBinding, FlowSet, NodeId, Topology};
+use gmf_net::{FlowSet, NodeId, Topology};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -203,30 +202,14 @@ impl JitterMap {
 /// flow's per-stage
 /// interference tables (the crate-private `dense` plan) — the engine's hot
 /// loops never touch a tree map or rescan the flow set.
+///
+/// A flow's demand depends on a link only through its speed (eqs. 1–13),
+/// so each flow gets one [`LinkDemand`] and [`DemandTable`] per distinct
+/// link speed of its route, and every hop records which of them it uses.
 #[derive(Debug, Clone)]
 pub struct AnalysisContext<'a> {
     topology: &'a Topology,
     flows: &'a FlowSet,
-    /// The flows' demands, tables and per-hop demand ids.  Owned when the
-    /// context compiled them itself, borrowed from an admission lane
-    /// otherwise (which may also hold flows outside this context).
-    compiled: Cow<'a, CompiledDemands>,
-    /// Flow index → position of its first hop in `compiled.hop_demands`.
-    hop_start: Vec<u32>,
-    /// The interner and interference tables.
-    plan: crate::dense::DensePlan,
-}
-
-/// Compiled demands and demand tables of a growing set of flows.  A
-/// flow's demand depends on a link only through its speed (eqs. 1–13),
-/// so each flow gets one [`LinkDemand`] and [`DemandTable`] per distinct
-/// link speed of its route, and every hop records which of them it uses.
-/// [`AnalysisContext::new`] compiles its flows into a fresh one and owns
-/// it.  An admission lane keeps one for its whole run — its trials share
-/// topology and bindings, so a flow compiles identically in every trial —
-/// and drops it when the lane ends.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CompiledDemands {
     /// Indexed by the dense plan's demand ids.
     demands: Vec<LinkDemand>,
     /// Precompiled prefix-maximum tables, parallel to `demands` — the only
@@ -234,57 +217,10 @@ pub(crate) struct CompiledDemands {
     tables: Vec<DemandTable>,
     /// Hop → demand id, each flow's hops in route order, contiguous.
     hop_demands: Vec<u32>,
-    /// Flow → position of its first hop in `hop_demands`.
-    start: BTreeMap<FlowId, u32>,
-}
-
-impl CompiledDemands {
-    /// The first-hop position of each flow, in binding order (see
-    /// [`Self::compile`]).
-    fn compile_all(
-        &mut self,
-        topology: &Topology,
-        flows: &FlowSet,
-    ) -> Result<Vec<u32>, AnalysisError> {
-        flows
-            .bindings()
-            .iter()
-            .map(|binding| self.compile(topology, binding))
-            .collect()
-    }
-
-    /// The position of `binding`'s first hop in `hop_demands`, compiling
-    /// the flow first unless it is already here (then it must be the same
-    /// binding on the same topology).
-    fn compile(
-        &mut self,
-        topology: &Topology,
-        binding: &FlowBinding,
-    ) -> Result<u32, AnalysisError> {
-        if let Some(&start) = self.start.get(&binding.id) {
-            return Ok(start);
-        }
-        let start = crate::index::cx(self.hop_demands.len());
-        let first_demand = self.demands.len();
-        for hop in binding.route.hops() {
-            let speed = topology.link_between(hop.from, hop.to)?.speed;
-            let compiled = self.demands[first_demand..]
-                .iter()
-                .position(|demand| demand.speed() == speed);
-            let id = match compiled {
-                Some(offset) => first_demand + offset,
-                None => {
-                    let demand = LinkDemand::new(&binding.flow, &binding.encapsulation, speed);
-                    self.tables.push(DemandTable::new(&demand));
-                    self.demands.push(demand);
-                    self.demands.len() - 1
-                }
-            };
-            self.hop_demands.push(crate::index::cx(id));
-        }
-        self.start.insert(binding.id, start);
-        Ok(start)
-    }
+    /// Flow index → position of its first hop in `hop_demands`.
+    hop_start: Vec<u32>,
+    /// The interner and interference tables.
+    plan: crate::dense::DensePlan,
 }
 
 impl<'a> AnalysisContext<'a> {
@@ -293,41 +229,36 @@ impl<'a> AnalysisContext<'a> {
     /// pairs, lay out the jitter arena and build the per-stage
     /// interference tables.
     pub fn new(topology: &'a Topology, flows: &'a FlowSet) -> Result<Self, AnalysisError> {
-        let mut compiled = CompiledDemands::default();
-        let hop_start = compiled.compile_all(topology, flows)?;
-        Self::assemble(topology, flows, Cow::Owned(compiled), hop_start)
-    }
-
-    /// [`Self::new`] over the lane's `compiled` demands: flows compiled
-    /// by an earlier context are reused, the rest are compiled into
-    /// `compiled` first, and the context borrows the demands from there.
-    pub(crate) fn with_compiled(
-        topology: &'a Topology,
-        flows: &'a FlowSet,
-        compiled: &'a mut CompiledDemands,
-    ) -> Result<Self, AnalysisError> {
-        let hop_start = compiled.compile_all(topology, flows)?;
-        Self::assemble(topology, flows, Cow::Borrowed(compiled), hop_start)
-    }
-
-    /// Intern the flows over their compiled demands.
-    fn assemble(
-        topology: &'a Topology,
-        flows: &'a FlowSet,
-        compiled: Cow<'a, CompiledDemands>,
-        hop_start: Vec<u32>,
-    ) -> Result<Self, AnalysisError> {
-        let CompiledDemands {
-            demands,
-            hop_demands,
-            ..
-        } = compiled.as_ref();
+        let (mut demands, mut tables, mut hop_demands) = (Vec::new(), Vec::new(), Vec::new());
+        let mut hop_start = Vec::with_capacity(flows.len());
+        for binding in flows.bindings() {
+            hop_start.push(crate::index::cx(hop_demands.len()));
+            let first_demand = demands.len();
+            for hop in binding.route.hops() {
+                let speed = topology.link_between(hop.from, hop.to)?.speed;
+                let compiled = demands[first_demand..]
+                    .iter()
+                    .position(|demand: &LinkDemand| demand.speed() == speed);
+                let id = match compiled {
+                    Some(offset) => first_demand + offset,
+                    None => {
+                        let demand = LinkDemand::new(&binding.flow, &binding.encapsulation, speed);
+                        tables.push(DemandTable::new(&demand));
+                        demands.push(demand);
+                        demands.len() - 1
+                    }
+                };
+                hop_demands.push(crate::index::cx(id));
+            }
+        }
         let plan =
-            crate::dense::DensePlan::build(topology, flows, demands, hop_demands, &hop_start)?;
+            crate::dense::DensePlan::build(topology, flows, &demands, &hop_demands, &hop_start)?;
         Ok(AnalysisContext {
             topology,
             flows,
-            compiled,
+            demands,
+            tables,
+            hop_demands,
             hop_start,
             plan,
         })
@@ -336,7 +267,7 @@ impl<'a> AnalysisContext<'a> {
     /// The demand ids of flow index `index`: one per hop of its route.
     fn hop_demands_of(&self, index: usize) -> &[u32] {
         let start = crate::index::ux(self.hop_start[index]);
-        &self.compiled.hop_demands[start..start + self.flows.bindings()[index].route.n_hops()]
+        &self.hop_demands[start..start + self.flows.bindings()[index].route.n_hops()]
     }
 
     /// The dense plan (interner, arena layout, interference tables).
@@ -347,14 +278,14 @@ impl<'a> AnalysisContext<'a> {
     /// A demand by its dense index (hot-loop form of [`Self::demand`]).
     #[inline]
     pub(crate) fn demand_by_index(&self, index: u32) -> &LinkDemand {
-        &self.compiled.demands[crate::index::ux(index)]
+        &self.demands[crate::index::ux(index)]
     }
 
     /// The interned demand tables, parallel to the demand indices (the
     /// kernels index this slice directly).
     #[inline]
     pub(crate) fn tables(&self) -> &[DemandTable] {
-        &self.compiled.tables
+        &self.tables
     }
 
     /// Aggregate table statistics for the `kernel/*` bench counters:
@@ -592,74 +523,8 @@ mod tests {
         assert_eq!((tables, table_windows), (hops, windows));
         assert_eq!(hops, 8);
         // Two flows × three distinct speeds.
-        assert_eq!(ctx.compiled.demands.len(), 6);
+        assert_eq!(ctx.demands.len(), 6);
         assert_eq!(ctx.tables().len(), 6);
-    }
-
-    /// A lane that accepts several candidates in a row: every trial set
-    /// is the previous one plus a candidate, built over the demands the
-    /// earlier trials compiled.  Each context equals a fresh one — every
-    /// flow's demands and tables, the kernel statistics and the analysis
-    /// — and only the candidate is compiled anew, once per distinct link
-    /// speed of its route.
-    #[test]
-    fn lane_reused_compiled_demands_equal_a_fresh_context() {
-        let (t, net) = paper_figure1();
-        let pairs = [(0, 3), (1, 3), (2, 0), (0, 2), (3, 1), (1, 2)];
-        let config = crate::AnalysisConfig::paper();
-        let mut compiled = CompiledDemands::default();
-        let mut lane = FlowSet::new();
-        for (i, &(from, to)) in pairs.iter().enumerate() {
-            let mut trial = lane.clone();
-            let route = shortest_path(&t, net.hosts[from], net.hosts[to]).unwrap();
-            let mut candidate_speeds: Vec<u64> = route
-                .hops()
-                .map(|hop| t.link_between(hop.from, hop.to).unwrap().speed.as_bps() as u64)
-                .collect();
-            candidate_speeds.sort_unstable();
-            candidate_speeds.dedup();
-            let flow = if i % 2 == 0 {
-                paper_figure3_flow("video", Time::from_millis(150.0), Time::from_millis(1.0))
-            } else {
-                cbr_flow(
-                    "voice",
-                    160,
-                    Time::from_millis(20.0),
-                    Time::from_millis(20.0),
-                    Time::ZERO,
-                )
-            };
-            trial.add(flow, route, Priority(7 - u8::try_from(i).unwrap()));
-            let compiled_before = compiled.demands.len();
-            let fresh = AnalysisContext::new(&t, &trial).unwrap();
-            let fresh_report = crate::fixed_point::iterate(&fresh, &config).unwrap().report;
-            let reused = AnalysisContext::with_compiled(&t, &trial, &mut compiled).unwrap();
-            for index in 0..trial.len() {
-                let hops = fresh.hop_demands_of(index);
-                assert_eq!(hops.len(), reused.hop_demands_of(index).len());
-                for (&a, &b) in hops.iter().zip(reused.hop_demands_of(index)) {
-                    let (a, b) = (crate::index::ux(a), crate::index::ux(b));
-                    assert_eq!(fresh.compiled.demands[a], reused.compiled.demands[b]);
-                    assert_eq!(fresh.tables()[a], reused.tables()[b]);
-                }
-            }
-            assert_eq!(reused.kernel_stats(), fresh.kernel_stats());
-            assert_eq!(
-                crate::fixed_point::iterate(&reused, &config)
-                    .unwrap()
-                    .report,
-                fresh_report
-            );
-            drop(reused);
-            // Only the candidate was compiled: every member came from the
-            // lane's earlier trials.
-            assert_eq!(compiled.start.len(), i + 1);
-            assert_eq!(
-                compiled.demands.len(),
-                compiled_before + candidate_speeds.len()
-            );
-            lane = trial;
-        }
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! flow-index order on the caller's thread with one kernel scratch arena
 //! for the whole run.  A round is far too short to pay for a fork-join, so
 //! parallelism lives one level up, where the units are independent:
-//! admission lanes, shard preloads and sweep points.  A flow whose input
+//! shard preloads and sweep points.  A flow whose input
 //! slots are exactly unchanged since its last analysis is not re-analysed
 //! at all (`AnalysisConfig::skip_unchanged_flows`); its responses from
 //! that analysis are reused.

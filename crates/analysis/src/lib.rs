@@ -26,8 +26,8 @@
 //! * [`admission::AdmissionController`] — the admission controller built on
 //!   top of it, with one decision path: shard-scoped trials warm-started
 //!   from the last converged jitters, byte-identical to a cold analysis of
-//!   the trial set; independent lanes and shard preloads are where the
-//!   crate runs in parallel;
+//!   the trial set, decided in request order; the shard preload is where
+//!   the crate runs in parallel;
 //! * [`resilience::SurvivabilityAnalysis`] — the single-failure
 //!   survivability sweep: one cold analysis of the shards a failure
 //!   reaches, the preload's cached reports for the rest;

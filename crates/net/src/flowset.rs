@@ -190,8 +190,9 @@ impl FlowSet {
     }
 
     /// Insert a pre-built binding with its id intact (the admission
-    /// plane's shard-merge path: a trial set's accepted binding is folded
-    /// back into the global set without re-numbering).  Fails on a
+    /// controller's path: a candidate is analysed in its trial set and,
+    /// on acceptance, registered in the accepted set under its reserved
+    /// id, without re-numbering).  Fails on a
     /// duplicate id; the id counter advances past the inserted id so the
     /// next [`FlowSet::add`] never collides.
     pub fn insert(&mut self, binding: FlowBinding) -> Result<FlowId, NetError> {

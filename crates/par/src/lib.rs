@@ -1,8 +1,8 @@
 //! # gmf-par
 //!
 //! A minimal, deterministic fork-join parallel map for the workspace's
-//! coarse independent work units: admission lanes, shard preloads and
-//! sweep points.
+//! coarse independent work units: the admission controller's shard
+//! preload and sweep points.
 //!
 //! The build environment has no registry access, so rayon (with its global
 //! thread pool, work stealing and nondeterministic reduction order) is not
@@ -19,8 +19,8 @@
 //!   state.
 //! * **No persistent pool.** [`std::thread::scope`] forks and joins within
 //!   the call, at a few tens of microseconds per fork.  That only pays for
-//!   units that each take far longer — a whole shard or lane, never one
-//!   round of one analysis — and no state leaks between calls.
+//!   units that each take far longer — a whole shard or sweep point,
+//!   never one round of one analysis — and no state leaks between calls.
 //! * **Strided dealing.** Items are ranked (input order for
 //!   [`par_map_interleaved`], heaviest first for [`par_map_weighted`]) and
 //!   worker `w` of `T` takes ranks `w, w+T, w+2T, …`.  Expensive items
@@ -113,9 +113,9 @@ where
 /// count: the assignment depends only on the weights and indices, never on
 /// scheduling, and each result is dealt back to its item's input position.
 /// Prefer this variant when per-item costs are *known in advance and
-/// heavy-tailed* — the admission plane's shard lanes, whose costs scale
-/// with lane flow counts spanning orders of magnitude, are the motivating
-/// case.
+/// heavy-tailed* — the admission controller's shard preload, whose
+/// per-shard verification costs scale with shard flow counts spanning
+/// orders of magnitude, is the motivating case.
 pub fn par_map_weighted<T, R, F, W>(threads: Threads, items: &[T], weight: W, f: F) -> Vec<R>
 where
     T: Sync,

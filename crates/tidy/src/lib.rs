@@ -217,8 +217,8 @@ const BOUND_SCOPE: &[&str] = &[
 /// Index-heavy engine modules where bare `as` casts are banned (rule
 /// `cast`): the analysis crate plus the shard scheduler's engine path —
 /// the flow-component union-find the partition layer is built on and the
-/// deterministic work-partitioning primitives admission lanes run
-/// through.
+/// deterministic work-partitioning primitives the shard preload and the
+/// sweeps run through.
 const CAST_SCOPE: &[&str] = &[
     "crates/analysis/src/",
     "crates/net/src/components.rs",

@@ -1,4 +1,4 @@
-//! Property tests of the sharded admission plane: batched, shard-parallel
+//! Property tests of the sharded admission plane: batched, shard-scoped
 //! warm admission must be *decision-for-decision byte-identical* to a cold
 //! fixed point of every trial set (the accepted flows plus the candidate)
 //! — across worker threads and arrival/departure (churn) orders — and the
@@ -35,7 +35,7 @@ fn sweep_set(seed: u64, n_flows: usize, utilization: f64) -> (Topology, FlowSet)
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// (a) Batched shard-parallel warm admission == a cold fixed point of
+    /// (a) Batched shard-scoped warm admission == a cold fixed point of
     /// every trial set, across threads, through a churn step.
     #[test]
     fn batched_warm_admission_matches_sequential_cold(
